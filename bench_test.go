@@ -18,6 +18,7 @@ import (
 	"fgp/internal/core"
 	"fgp/internal/experiments"
 	"fgp/internal/kernels"
+	"fgp/internal/sim"
 )
 
 // compileAll builds artifacts for every kernel at the given core count,
@@ -106,17 +107,17 @@ func BenchmarkFig12(b *testing.B) {
 // BenchmarkFig12Sweep times the whole Figure 12 sweep (18 kernels, compile
 // and simulate at 1, 2, and 4 cores) end to end through the experiments
 // Runner — the number cmd/fgpbench tracks for host-performance regressions.
-// Sub-benchmarks cover the burst engine on a serial and a saturated worker
-// pool plus the reference per-instruction scheduler.
+// Sub-benchmarks cover the default threaded engine on a serial and a
+// saturated worker pool plus the reference per-instruction scheduler.
 func BenchmarkFig12Sweep(b *testing.B) {
 	modes := []struct {
-		name      string
-		workers   int
-		reference bool
+		name    string
+		workers int
+		engine  string
 	}{
-		{"burst/parallel", 0, false},
-		{"burst/serial", 1, false},
-		{"reference/serial", 1, true},
+		{"threaded/parallel", 0, sim.EngineThreaded},
+		{"threaded/serial", 1, sim.EngineThreaded},
+		{"reference/serial", 1, sim.EngineReference},
 	}
 	for _, m := range modes {
 		m := m
@@ -124,7 +125,7 @@ func BenchmarkFig12Sweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := experiments.NewRunner()
 				r.SetWorkers(m.workers)
-				r.SetReference(m.reference)
+				r.SetEngine(m.engine)
 				if _, err := experiments.Fig12(r); err != nil {
 					b.Fatal(err)
 				}

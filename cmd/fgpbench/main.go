@@ -1,8 +1,8 @@
 // Command fgpbench is the host-performance regression harness: it times the
 // full Figure 12 sweep (every kernel compiled and simulated at 1, 2, and 4
-// cores) on every execution engine — the per-instruction reference
-// scheduler, the burst engine, and the threaded-code engine — serial and
-// parallel, and emits a machine-readable report.
+// cores) on the per-instruction reference scheduler (serial) and on the
+// default threaded-code engine (serial and parallel), and emits a
+// machine-readable report.
 //
 // The report (BENCH_sim.json, committed at the repo root) records total
 // sweep wall-clock, the compile/simulate split, host nanoseconds per
@@ -40,12 +40,13 @@ import (
 	"fgp/internal/kernels"
 	"fgp/internal/kernels/tier2"
 	"fgp/internal/machspace"
+	"fgp/internal/sim"
 )
 
 // Mode is one engine/worker configuration of the sweep.
 type Mode struct {
 	Name    string `json:"name"`
-	Engine  string `json:"engine"`  // "reference", "burst" or "threaded"
+	Engine  string `json:"engine"`  // "reference" or "threaded"
 	Workers int    `json:"workers"` // 0 = one per available CPU
 
 	// ColdNs is the best wall-clock of the full sweep from an empty cache:
@@ -72,6 +73,7 @@ type Report struct {
 	Benchmark  string `json:"benchmark"`
 	Kernels    int    `json:"kernels"`
 	Repeats    int    `json:"repeats"`
+	CPUs       int    `json:"cpus"` // runtime.NumCPU of the measuring host
 	GoMaxProcs int    `json:"go_max_procs"`
 	GoVersion  string `json:"go_version"`
 
@@ -100,9 +102,7 @@ type Report struct {
 	// Additive, like Tier2.
 	Machspace *MachspaceSweep `json:"machspace,omitempty"`
 
-	// Headline ratios, all versus the reference-serial cold sweep.
-	SpeedupBurstSerial      float64 `json:"speedup_burst_serial"`
-	SpeedupBurstParallel    float64 `json:"speedup_burst_parallel"`
+	// Headline ratios, both versus the reference-serial cold sweep.
 	SpeedupThreadedSerial   float64 `json:"speedup_threaded_serial"`
 	SpeedupThreadedParallel float64 `json:"speedup_threaded_parallel"`
 
@@ -169,8 +169,6 @@ type Baseline struct {
 	ColdNs int64  `json:"cold_ns"`
 
 	// Speedups of the current modes' cold sweeps over this baseline.
-	SpeedupBurstSerial      float64 `json:"speedup_burst_serial"`
-	SpeedupBurstParallel    float64 `json:"speedup_burst_parallel"`
 	SpeedupThreadedSerial   float64 `json:"speedup_threaded_serial"`
 	SpeedupThreadedParallel float64 `json:"speedup_threaded_parallel"`
 }
@@ -182,7 +180,7 @@ func main() {
 	once := flag.String("once", "", "run a single cold sweep in the named mode and print its nanoseconds (for cross-version A/B runs)")
 	baseName := flag.String("baseline", "", "name of a baseline checkout to record in the report")
 	baseNs := flag.Int64("baseline-ns", 0, "externally measured cold-sweep nanoseconds of the -baseline checkout")
-	baseCmd := flag.String("baseline-cmd", "", "command printing one cold-sweep nanosecond count (e.g. an older checkout's 'fgpbench -once burst-parallel' binary); run interleaved with the modes each repeat, overriding -baseline-ns")
+	baseCmd := flag.String("baseline-cmd", "", "command printing one cold-sweep nanosecond count (e.g. an older checkout's 'fgpbench -once threaded-parallel' binary); run interleaved with the modes each repeat, overriding -baseline-ns")
 	msKernels := flag.String("machspace-kernels", "umt2k-4,umt2k-2,lammps-2", "comma-separated kernels for the machine-space sweep section (empty disables)")
 	searchBudget := flag.Int("search-budget", 48, "candidate budget for the partition-search sweep section (0 disables)")
 	searchSeed := flag.Int64("search-seed", 1, "seed for the partition-search sweep section")
@@ -195,11 +193,9 @@ func main() {
 	}
 
 	modes := []Mode{
-		{Name: "reference-serial", Engine: "reference", Workers: 1},
-		{Name: "burst-serial", Engine: "burst", Workers: 1},
-		{Name: "threaded-serial", Engine: "threaded", Workers: 1},
-		{Name: "burst-parallel", Engine: "burst", Workers: *workers},
-		{Name: "threaded-parallel", Engine: "threaded", Workers: *workers},
+		{Name: "reference-serial", Engine: sim.EngineReference, Workers: 1},
+		{Name: "threaded-serial", Engine: sim.EngineThreaded, Workers: 1},
+		{Name: "threaded-parallel", Engine: sim.EngineThreaded, Workers: *workers},
 	}
 
 	if *once != "" {
@@ -225,6 +221,7 @@ func main() {
 		Benchmark:      "fig12-sweep",
 		Kernels:        len(kernels.All()),
 		Repeats:        *repeats,
+		CPUs:           runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 		GoVersion:      runtime.Version(),
 		TotalSimCycles: simCycles,
@@ -303,18 +300,14 @@ func main() {
 		rep.Machspace = ms
 	}
 
-	rep.SpeedupBurstSerial = modes[1].SpeedupCold
-	rep.SpeedupThreadedSerial = modes[2].SpeedupCold
-	rep.SpeedupBurstParallel = modes[3].SpeedupCold
-	rep.SpeedupThreadedParallel = modes[4].SpeedupCold
+	rep.SpeedupThreadedSerial = modes[1].SpeedupCold
+	rep.SpeedupThreadedParallel = modes[2].SpeedupCold
 	if *baseName != "" && *baseNs > 0 {
 		rep.Baseline = &Baseline{
 			Name:                    *baseName,
 			ColdNs:                  *baseNs,
-			SpeedupBurstSerial:      float64(*baseNs) / float64(modes[1].ColdNs),
-			SpeedupThreadedSerial:   float64(*baseNs) / float64(modes[2].ColdNs),
-			SpeedupBurstParallel:    float64(*baseNs) / float64(modes[3].ColdNs),
-			SpeedupThreadedParallel: float64(*baseNs) / float64(modes[4].ColdNs),
+			SpeedupThreadedSerial:   float64(*baseNs) / float64(modes[1].ColdNs),
+			SpeedupThreadedParallel: float64(*baseNs) / float64(modes[2].ColdNs),
 		}
 	}
 
@@ -516,9 +509,7 @@ func machspaceSweep(names []string) (*MachspaceSweep, error) {
 func timeSweep(m *Mode) (cold, warm time.Duration, err error) {
 	r := experiments.NewRunner()
 	r.SetWorkers(m.Workers)
-	if m.Engine != "burst" {
-		r.SetEngine(m.Engine)
-	}
+	r.SetEngine(m.Engine)
 
 	// Settle the heap so earlier modes' garbage is not charged to this one.
 	runtime.GC()

@@ -1,7 +1,10 @@
 // Command fgpfuzz is the differential fuzzing driver: it generates random
 // IR kernels and cross-checks the full compile-and-simulate pipeline
 // against the reference interpreter over the {cores} × {speculation} ×
-// {normalization} × {burst, reference engine} matrix (see internal/fuzz).
+// {normalization} × {threaded, reference engine} matrix (see
+// internal/fuzz). The threaded leg runs sink-free so its fused-block
+// runtime is exercised; the reference leg also records the event stream
+// and checks its stall windows against the counters.
 //
 // Usage:
 //

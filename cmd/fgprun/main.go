@@ -23,12 +23,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"fgp/internal/core"
 	"fgp/internal/frontend"
 	"fgp/internal/ir"
 	"fgp/internal/kernels"
 	"fgp/internal/obs"
+	"fgp/internal/sim"
 )
 
 func main() {
@@ -50,11 +52,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	searchBudget := fs.Int("search-budget", 0, "candidate budget for -partitioner=search (0 = default)")
 	searchSeed := fs.Int64("search-seed", 0, "random seed for -partitioner=search")
 	verify := fs.Bool("verify", true, "check results against the reference interpreter")
-	engine := fs.String("engine", "", "simulation engine: burst (default), reference, or threaded")
+	engine := fs.String("engine", "", fmt.Sprintf("simulation engine: one of %v (default %s)", sim.Engines(), sim.Engines()[0]))
 	trace := fs.Int("trace", 0, "print the first N simulated instructions as a timeline")
 	traceOut := fs.String("trace-out", "", "record the run's event stream and write it to this file")
 	traceFormat := fs.String("trace-format", "text", "format for -trace-out: "+obs.TraceFormats)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *engine != "" && !slices.Contains(sim.Engines(), *engine) {
+		fmt.Fprintf(stderr, "fgprun: unknown engine %q (have %v)\n", *engine, sim.Engines())
 		return 2
 	}
 	fail := func(err error) int {

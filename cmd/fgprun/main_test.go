@@ -65,6 +65,10 @@ func TestRunBadInvocations(t *testing.T) {
 		{"no kernel", nil, "missing -kernel", 1},
 		{"unknown kernel", []string{"-kernel", "nope-1"}, "nope-1", 1},
 		{"bad flag", []string{"-no-such-flag"}, "flag provided but not defined", 2},
+		// The engine is checked before the kernel is even resolved, so
+		// nothing is compiled for a typo.
+		{"unknown engine", []string{"-kernel", "nope-1", "-engine", "burst"},
+			`unknown engine "burst" (have [threaded reference])`, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -77,6 +81,16 @@ func TestRunBadInvocations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunReferenceEngineMatchesGolden: the reference engine reproduces the
+// default engine's golden report byte for byte.
+func TestRunReferenceEngineMatchesGolden(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-kernel", "sphot-1", "-cores", "4", "-engine", "reference"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
+	}
+	checkGolden(t, "golden_sphot-1.txt", out.Bytes())
 }
 
 // TestRunTraceTruncation checks the -trace timeline respects its line limit.

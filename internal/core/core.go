@@ -170,7 +170,7 @@ func Compile(l *ir.Loop, opt Options) (*Artifact, error) {
 
 // CompileContext is Compile with cooperative cancellation: the profiling
 // simulation (the only unbounded-cost stage of the pipeline) aborts within
-// one burst horizon when ctx is cancelled, returning ctx.Err().
+// one cancellation stride when ctx is cancelled, returning ctx.Err().
 func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, error) {
 	if opt.Cores < 1 {
 		return nil, fmt.Errorf("core: cores must be >= 1")
@@ -326,10 +326,11 @@ type searchStats struct {
 // The objective compiles every candidate through the normal pipeline tail —
 // outlining, program validation, and internal/verify's translation
 // validation — so illegal partitions are rejected before they are ever
-// scored, then simulates the survivor on the threaded engine and returns
-// its cycle count. When the winner differs from the seed, its final memory
-// image and live-outs are cross-checked bit-identical against the seed's
-// before it is accepted. If the seed itself cannot be scored (the kernel
+// scored, then simulates the survivor on the compile-time machine (the
+// threaded engine unless it names another) and returns its cycle count.
+// When the winner differs from the seed, its final memory image and
+// live-outs are cross-checked bit-identical against the seed's before it
+// is accepted. If the seed itself cannot be scored (the kernel
 // traps on its inputs), the heuristic partition is kept unchanged.
 func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Info, seed *codegraph.Result, instrCost func(*tac.Instr) int64, mc sim.Config, opt Options) (*codegraph.Result, searchStats, error) {
 	depthCap := 8
@@ -363,10 +364,8 @@ func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Inf
 		}
 		return compiled, nil
 	}
-	objCfg := mc
-	objCfg.Engine = sim.EngineThreaded
 	simulate := func(ctx context.Context, compiled *outline.Compiled, image *mem.Memory) (*sim.Result, error) {
-		m, err := sim.New(compiled.Programs, image, objCfg)
+		m, err := sim.New(compiled.Programs, image, mc)
 		if err != nil {
 			return nil, err
 		}
@@ -594,7 +593,7 @@ func (a *Artifact) Run(cfg sim.Config) (*sim.Result, error) {
 }
 
 // RunContext simulates the artifact on a fresh memory image, aborting
-// within one burst horizon with ctx.Err() when ctx is cancelled.
+// within one cancellation stride with ctx.Err() when ctx is cancelled.
 func (a *Artifact) RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	m, err := sim.New(a.Compiled.Programs, outline.BuildMemory(a.Loop), cfg)
 	if err != nil {

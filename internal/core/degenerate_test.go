@@ -1,7 +1,7 @@
 // Degenerate machine points: the machine-space sweep (internal/machspace)
 // dials every hardware lever through literal zero and single-unit corners.
 // Each such point must either simulate correctly — verified bit-for-bit
-// against the reference interpreter and bit-identical across all three
+// against the reference interpreter and bit-identical across both
 // engines — or be rejected with a structured *sim.ConfigError before any
 // compile work. Never a panic, never a hang.
 
@@ -50,8 +50,8 @@ func TestDegeneratePointsSimulateCorrectly(t *testing.T) {
 		if _, err := a.Verify(a.MachineConfig()); err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		// Engine equivalence: the burst, reference, and threaded engines
-		// must agree on the cycle count at this point.
+		// Engine equivalence: the threaded and reference engines must agree
+		// on the cycle count at this point.
 		var cycles []int64
 		for _, eng := range sim.Engines() {
 			cfg := a.MachineConfig()

@@ -39,7 +39,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 			t.Errorf("%s: machine config drifted: %+v vs %+v", name, got.MachineConfig(), art.MachineConfig())
 		}
 
-		for _, engine := range []string{sim.EngineBurst, sim.EngineReference, sim.EngineThreaded} {
+		for _, engine := range sim.Engines() {
 			cfg := art.MachineConfig()
 			cfg.Engine = engine
 			want, err := art.Run(cfg)

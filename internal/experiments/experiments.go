@@ -36,7 +36,7 @@ const artShards = 16
 // compilation instead of duplicating it.
 type Runner struct {
 	workers int
-	engine  string // sim engine for every simulation; "" = the burst default
+	engine  string // sim engine for every simulation; "" = the threaded default
 
 	shards [artShards]artShard
 	seqMu  sync.Mutex
@@ -120,22 +120,11 @@ func (r *Runner) SetWorkers(n int) { r.workers = n }
 
 // SetEngine routes every simulation this runner launches — main runs,
 // sequential baselines, and compile-time profiling runs — through the named
-// sim engine ("" or sim.EngineBurst for the default, sim.EngineReference,
-// sim.EngineThreaded). Results are bit-identical across engines; only host
+// sim engine ("" or sim.EngineThreaded for the default,
+// sim.EngineReference). Results are bit-identical across engines; only host
 // time changes. Call before launching experiments, not concurrently with
 // them.
 func (r *Runner) SetEngine(engine string) { r.engine = engine }
-
-// SetReference forces every simulation this runner launches onto the
-// retained per-instruction reference scheduler instead of the burst engine.
-// Kept as a thin wrapper over SetEngine for existing callers.
-func (r *Runner) SetReference(ref bool) {
-	if ref {
-		r.engine = sim.EngineReference
-	} else {
-		r.engine = ""
-	}
-}
 
 // each runs f(0..n-1) on this runner's worker pool.
 func (r *Runner) each(n int, f func(int) error) error {
@@ -199,15 +188,15 @@ func (r *Runner) Artifact(k *kernels.Kernel, v Variant) (*core.Artifact, error) 
 		opt := v.options()
 		if r.engine == sim.EngineReference {
 			// Route the compile-time profiling simulation through the
-			// reference engine too, so a reference runner exercises no burst
-			// code at all (the honest baseline for host-speed comparisons —
-			// the profile cache below is likewise bypassed, matching the one
-			// profiling run per compilation of the original implementation).
+			// reference engine too, so a reference runner simulates nothing
+			// on the threaded engine (the honest baseline for host-speed
+			// comparisons — the profile cache below is likewise bypassed,
+			// matching the one profiling run per compilation of the original
+			// implementation).
 			if opt.Machine == nil {
 				cfg := sim.DefaultConfig(v.Cores)
 				opt.Machine = &cfg
 			}
-			opt.Machine.Reference = true
 			opt.Machine.Engine = sim.EngineReference
 		} else if opt.UseProfile {
 			p, err := r.profileFor(k, v)

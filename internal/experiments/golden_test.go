@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fgp/internal/kernels"
+	"fgp/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden cycle table from the current simulator")
@@ -106,7 +107,7 @@ func TestGoldenCyclesReference(t *testing.T) {
 		t.Skip("reference engine table is slow; skipped in -short mode")
 	}
 	r := NewRunner()
-	r.SetReference(true)
+	r.SetEngine(sim.EngineReference)
 	got := goldenTable(t, r)
 
 	data, err := os.ReadFile(goldenPath)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fgp/internal/kernels"
+	"fgp/internal/sim"
 )
 
 // TestRunnerConcurrentArtifact hammers the singleflight artifact cache from
@@ -81,16 +82,17 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 }
 
 // TestRunnerReferenceMatchesBurst runs the Fig 12 sweep on both simulator
-// engines through the Runner API and requires identical rows.
+// engines through the Runner API — the default (threaded) runner against a
+// reference runner — and requires identical rows. The name predates the
+// threaded default; the burst engine it once named is gone.
 func TestRunnerReferenceMatchesBurst(t *testing.T) {
-	burst := NewRunner()
-	got, err := Fig12(burst)
+	got, err := Fig12(NewRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ref := NewRunner()
-	ref.SetReference(true)
+	ref.SetEngine(sim.EngineReference)
 	want, err := Fig12(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +100,7 @@ func TestRunnerReferenceMatchesBurst(t *testing.T) {
 
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("row %d: burst %+v, reference %+v", i, got[i], want[i])
+			t.Errorf("row %d: default %+v, reference %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // pipeline. It generates random (but valid) IR loops, runs each one through
 // the reference interpreter as ground truth and through the full
 // compile-and-simulate path across a configuration matrix (core counts,
-// speculation, tree normalization, burst vs. reference engine), and demands
+// speculation, tree normalization, threaded vs. reference engine), and demands
 // bit-identical final memory and live-out values everywhere, plus a set of
 // metamorphic invariants (determinism across repeat runs, zero queue
 // traffic on one core). A shrinker minimizes failing kernels by statement

@@ -20,7 +20,7 @@ import (
 // OracleConfig selects the configuration matrix one kernel is checked
 // against. The zero value checks the full default matrix: cores 1..4 ×
 // speculation {off, on} × normalization {as-authored, split-at-3} × engine
-// {burst, reference, threaded}, plus the metamorphic invariants.
+// {threaded, reference}, plus the metamorphic invariants.
 type OracleConfig struct {
 	// MaxCores bounds the core-count sweep (default 4).
 	MaxCores int
@@ -74,7 +74,7 @@ type Mismatch struct {
 func (m *Mismatch) Error() string {
 	eng := m.Engine
 	if eng == "" {
-		eng = sim.EngineBurst
+		eng = sim.EngineThreaded
 	}
 	return fmt.Sprintf("fuzz: %s: cores=%d spec=%v norm=%d engine=%s: %s: %s",
 		m.Kernel, m.Cores, m.Spec, m.Norm, eng, m.Stage, m.Detail)
@@ -178,7 +178,7 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 						Stage: stage, Detail: cerr.Error()}
 				}
 				results := map[string]*sim.Result{}
-				recs := map[string]*obs.Recorder{}
+				var refRec *obs.Recorder
 				for _, eng := range sim.Engines() {
 					res, rec, err := checkRun(l, art, ref, rerr, eng)
 					if err != nil {
@@ -187,39 +187,37 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 						return m
 					}
 					results[eng] = res
-					recs[eng] = rec
-				}
-				burstRes, refRes := results[sim.EngineBurst], results[sim.EngineReference]
-				burstRec, refRec := recs[sim.EngineBurst], recs[sim.EngineReference]
-				// Invariant: every engine is bit-identical to the reference
-				// scheduler — full counter equality, not just the headline
-				// cycle count, so relaxed-order scheduling in the threaded
-				// engine cannot hide behind matching totals (QueueHighWater in
-				// particular observes canonical queue-depth order directly).
-				for _, eng := range sim.Engines() {
-					if eng == sim.EngineReference || results[eng] == nil || refRes == nil {
-						continue
+					if rec != nil {
+						refRec = rec
 					}
-					if d := diffResults(results[eng], refRes); d != "" {
+				}
+				thrRes, refRes := results[sim.EngineThreaded], results[sim.EngineReference]
+				// Invariant: the threaded engine is bit-identical to the
+				// reference scheduler — full counter equality, not just the
+				// headline cycle count, so relaxed-order scheduling cannot
+				// hide behind matching totals (QueueHighWater in particular
+				// observes canonical queue-depth order directly).
+				if thrRes != nil && refRes != nil {
+					if d := diffResults(thrRes, refRes); d != "" {
 						return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
-							Engine: eng, Stage: "invariant",
+							Engine: sim.EngineThreaded, Stage: "invariant",
 							Detail: fmt.Sprintf("diverges from reference: %s", d)}
 					}
 				}
-				// Invariant: both engines deliver the identical canonical
-				// event stream, and the per-cause stall windows sum exactly
-				// to the aggregate queue-stall counters.
-				if burstRec != nil && refRec != nil {
-					if m := checkEvents(l.Name, burstRes, burstRec, refRec); m != nil {
-						m.Cores, m.Spec, m.Norm = cores, spec, norm
+				// Invariant: the per-cause stall windows of the recorded
+				// event stream sum exactly to the aggregate queue-stall
+				// counters.
+				if refRec != nil {
+					if m := checkStalls(l.Name, refRes, refRec); m != nil {
+						m.Cores, m.Spec, m.Norm, m.Engine = cores, spec, norm, sim.EngineReference
 						return m
 					}
 				}
 				// Invariant: one core needs no communication at all.
-				if cores == 1 && burstRes != nil && (burstRes.Transfers != 0 || burstRes.QueuesUsed != 0) {
+				if cores == 1 && thrRes != nil && (thrRes.Transfers != 0 || thrRes.QueuesUsed != 0) {
 					return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
 						Stage:  "invariant",
-						Detail: fmt.Sprintf("queue traffic on 1 core: transfers=%d queues=%d", burstRes.Transfers, burstRes.QueuesUsed)}
+						Detail: fmt.Sprintf("queue traffic on 1 core: transfers=%d queues=%d", thrRes.Transfers, thrRes.QueuesUsed)}
 				}
 				// Partitioner lever: recompile with the simulator-guided
 				// partition search and hold the searched artifact to the same
@@ -233,29 +231,23 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 						return m
 					}
 				}
-				// Invariant: repeat runs are cycle-deterministic, on the
-				// default engine and on the threaded engine (whose artifact
-				// cache makes the second run take the warm path). One
-				// configuration per kernel keeps the cost bounded.
-				if !oc.SkipRepeat && cores == oc.MaxCores && !spec && norm == 0 {
-					for _, eng := range []string{sim.EngineBurst, sim.EngineThreaded} {
-						first := results[eng]
-						if first == nil {
-							continue
-						}
-						res2, _, err := checkRun(l, art, ref, rerr, eng)
-						if err != nil {
-							m := err.(*Mismatch)
-							m.Cores, m.Spec, m.Norm, m.Engine = cores, spec, norm, eng
-							m.Stage = "invariant"
-							m.Detail = "repeat run: " + m.Detail
-							return m
-						}
-						if res2.Cycles != first.Cycles || res2.Transfers != first.Transfers {
-							return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
-								Engine: eng, Stage: "invariant",
-								Detail: fmt.Sprintf("nondeterministic repeat: cycles %d then %d", first.Cycles, res2.Cycles)}
-						}
+				// Invariant: repeat runs on the default engine are
+				// cycle-deterministic (its translation cache makes the second
+				// run take the warm path). One configuration per kernel keeps
+				// the cost bounded.
+				if !oc.SkipRepeat && cores == oc.MaxCores && !spec && norm == 0 && thrRes != nil {
+					res2, _, err := checkRun(l, art, ref, rerr, sim.EngineThreaded)
+					if err != nil {
+						m := err.(*Mismatch)
+						m.Cores, m.Spec, m.Norm, m.Engine = cores, spec, norm, sim.EngineThreaded
+						m.Stage = "invariant"
+						m.Detail = "repeat run: " + m.Detail
+						return m
+					}
+					if res2.Cycles != thrRes.Cycles || res2.Transfers != thrRes.Transfers {
+						return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
+							Engine: sim.EngineThreaded, Stage: "invariant",
+							Detail: fmt.Sprintf("nondeterministic repeat: cycles %d then %d", thrRes.Cycles, res2.Cycles)}
 					}
 				}
 			}
@@ -300,36 +292,22 @@ func checkSearch(l *ir.Loop, compiled *ir.Loop, ref *interp.Result, rerr error, 
 		}
 		results[eng] = res
 	}
-	refRes := results[sim.EngineReference]
-	for _, eng := range sim.Engines() {
-		if eng == sim.EngineReference || results[eng] == nil || refRes == nil {
-			continue
-		}
-		if d := diffResults(results[eng], refRes); d != "" {
-			return &Mismatch{Kernel: l.Name, Engine: eng, Stage: "invariant",
+	thrRes, refRes := results[sim.EngineThreaded], results[sim.EngineReference]
+	if thrRes != nil && refRes != nil {
+		if d := diffResults(thrRes, refRes); d != "" {
+			return &Mismatch{Kernel: l.Name, Engine: sim.EngineThreaded, Stage: "invariant",
 				Detail: "search partitioner diverges from reference: " + d}
 		}
 	}
 	return nil
 }
 
-// checkEvents enforces the observability invariants between one kernel's
-// burst and reference recordings: bit-identical canonical event streams,
-// and per-cause stall-window sums equal to the aggregate EnqStalls and
+// checkStalls enforces the observability invariant on one kernel's
+// recording: per-cause stall-window sums equal the aggregate EnqStalls and
 // DeqStalls counters (the metamorphic link between the typed stream and
 // the counters both engines already agree on).
-func checkEvents(kernel string, res *sim.Result, burst, ref *obs.Recorder) *Mismatch {
-	if len(burst.Events) != len(ref.Events) {
-		return &Mismatch{Kernel: kernel, Stage: "invariant",
-			Detail: fmt.Sprintf("event streams diverge: burst %d events, reference %d", len(burst.Events), len(ref.Events))}
-	}
-	for i := range burst.Events {
-		if burst.Events[i] != ref.Events[i] {
-			return &Mismatch{Kernel: kernel, Stage: "invariant",
-				Detail: fmt.Sprintf("event %d diverges: burst %+v, reference %+v", i, burst.Events[i], ref.Events[i])}
-		}
-	}
-	sums := obs.SumStalls(burst.Events)
+func checkStalls(kernel string, res *sim.Result, rec *obs.Recorder) *Mismatch {
+	sums := obs.SumStalls(rec.Events)
 	var enq, deq int64
 	for i := range res.EnqStalls {
 		enq += res.EnqStalls[i]
@@ -395,22 +373,21 @@ func diffResults(got, want *sim.Result) string {
 	return ""
 }
 
-// checkRun simulates the artifact on one engine — recording the full event
-// stream — and compares the final memory image and live-outs against the
-// interpreter result. When the interpreter trapped (rerr != nil), the
-// simulation must also trap and the value comparison is skipped. The
-// returned error is always a *Mismatch.
+// checkRun simulates the artifact on one engine and compares the final
+// memory image and live-outs against the interpreter result. When the
+// interpreter trapped (rerr != nil), the simulation must also trap and the
+// value comparison is skipped. The returned error is always a *Mismatch.
 //
-// The threaded leg runs without an event sink: a sink makes runThreaded
-// delegate to the burst decomposition by construction, which would leave the
-// fused-block runtime unexercised. Its recorder is therefore nil and the
-// event-stream invariants apply to the burst/reference pair only.
+// Only the reference leg records the event stream: a sink hands a threaded
+// run to the reference scheduler by construction, which would leave the
+// fused-block runtime unexercised, so the threaded leg runs sink-free and
+// its recorder is nil.
 func checkRun(src *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error, engine string) (*sim.Result, *obs.Recorder, error) {
 	cfg := art.MachineConfig()
 	cfg.DebugEdges = true
 	cfg.Engine = engine
 	var rec *obs.Recorder
-	if engine != sim.EngineThreaded {
+	if engine == sim.EngineReference {
 		rec = obs.NewRecorder()
 		cfg.Sink = rec
 	}

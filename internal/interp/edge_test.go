@@ -51,7 +51,7 @@ func TestTrapSentinels(t *testing.T) {
 // TestTruncFISaturation: the Go spec leaves float-to-int conversion of NaN
 // and out-of-range values implementation-defined, so the pipeline pins its
 // own rule — NaN converts to 0, everything else saturates — and TruncFI is
-// the single definition both the interpreter and the burst engine call.
+// the single definition both the interpreter and the threaded engine call.
 func TestTruncFISaturation(t *testing.T) {
 	cases := []struct {
 		in   float64

@@ -30,8 +30,8 @@ var (
 // built-in conversion is implementation-specific for NaN and out-of-range
 // values, so the oracle pins saturating semantics: NaN converts to 0 and
 // out-of-range values clamp to the nearest representable int64. In-range
-// values truncate toward zero as before. Shared with the simulator's burst
-// engine so both execution paths stay bit-identical.
+// values truncate toward zero as before. Shared with the simulator's
+// threaded engine so both execution paths stay bit-identical.
 func TruncFI(f float64) int64 {
 	switch {
 	case math.IsNaN(f):
@@ -58,8 +58,7 @@ func VF(f float64) Value { return Value{K: ir.F64, F: f} }
 func VI(i int64) Value { return Value{K: ir.I64, I: i} }
 
 // VB wraps a boolean as the I64 0/1 encoding the IR uses for comparison
-// results. Shared with the simulator's burst engine so inline comparisons
-// produce bit-identical values.
+// results.
 func VB(b bool) Value {
 	if b {
 		return Value{K: ir.I64, I: 1}

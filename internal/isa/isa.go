@@ -111,26 +111,6 @@ type Program struct {
 	Marks []Mark
 }
 
-// IsComm reports whether the opcode interacts with the hardware queues.
-// Enqueues and dequeues are the only instructions through which cores
-// observe each other (besides the shared memory port), so they are the
-// synchronization points the simulator's burst engine must stop at.
-func (o Op) IsComm() bool { return o == Enq || o == Deq }
-
-// CommPoints returns the instruction indices of every enqueue and dequeue
-// in the program, in program order. A program with no communication points
-// runs to completion without ever observing another core through the
-// queues.
-func (p *Program) CommPoints() []int {
-	var pts []int
-	for i := range p.Instrs {
-		if p.Instrs[i].Op.IsComm() {
-			pts = append(pts, i)
-		}
-	}
-	return pts
-}
-
 // Append adds an instruction and returns its index.
 func (p *Program) Append(in Instr) int {
 	p.Instrs = append(p.Instrs, in)

@@ -63,7 +63,7 @@ type Options struct {
 	SearchSeed   int64
 	SearchBudget int
 	// Engine routes every simulation through the named sim engine ("" =
-	// the burst default). Results are bit-identical across engines.
+	// the threaded default). Results are bit-identical across engines.
 	Engine string
 }
 
@@ -131,8 +131,8 @@ type seqCell struct {
 // normalized (unswept axes filled with paper defaults) and budget-checked
 // before any work; each point then compiles through r's singleflight
 // artifact cache and simulates under ctx, which cancels the sweep within
-// one burst horizon. Same grid and options ⇒ byte-identical surface, for
-// any Workers.
+// one cancellation stride. Same grid and options ⇒ byte-identical surface,
+// for any Workers.
 func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid, opt Options) (*Surface, error) {
 	ng, err := g.Normalize(opt.MaxCores)
 	if err != nil {

@@ -77,7 +77,7 @@ func (c *Cache) Access(addr int64) bool {
 }
 
 // Probe reports whether a load of addr would hit, without filling the line
-// or touching the hit/miss statistics. The simulator's burst engine uses it
+// or touching the hit/miss statistics. The simulator's threaded engine uses it
 // to decide — before committing to the access — whether a load would need
 // the shared memory port.
 func (c *Cache) Probe(addr int64) bool {

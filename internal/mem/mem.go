@@ -93,8 +93,8 @@ func (m *Memory) Addr(arr ArrayID, idx int64) int64 {
 
 // DataF returns the live backing slice of a float array (nil for integer
 // arrays or invalid ids). Writes through the slice are real stores; the
-// simulator's burst engine uses it to predecode loads and stores into
-// direct slice accesses.
+// simulator's threaded engine binds its loads and stores to it as direct
+// slice accesses.
 func (m *Memory) DataF(arr ArrayID) []float64 {
 	if arr < 0 || int(arr) >= len(m.arrays) {
 		return nil

@@ -9,7 +9,7 @@
 // the Sink in canonical order after the run: a stable sort by (Time, Core)
 // that preserves per-core emission order among ties. Because each core's
 // execution — and therefore its emission sequence — is bit-identical across
-// the burst and reference engines, the canonical stream is identical too,
+// the threaded and reference engines, the canonical stream is identical too,
 // which the determinism tests and the fuzz oracle enforce. A nil sink is
 // never consulted: the hot paths guard every emission behind one
 // predictable branch, so tracing costs nothing when off.

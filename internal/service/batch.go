@@ -168,7 +168,11 @@ func (s *Server) runBatch(ctx context.Context, w http.ResponseWriter, req *Batch
 				return
 			}
 
-			resp, ae := s.execute(ictx, &req.Items[i])
+			var resp *RunResponse
+			ae := s.checkEngine(req.Items[i].Engine)
+			if ae == nil {
+				resp, ae = s.execute(ictx, &req.Items[i])
+			}
 			if ae == nil {
 				ok.Add(1)
 				writeLine(BatchItemResult{Index: i, Status: http.StatusOK, Result: resp})

@@ -93,6 +93,7 @@ func TestBatchMixedItemIsolation(t *testing.T) {
 		{Kernel: "lammps-3", Cores: 4, QueueLen: &shortQueue}, // 2: verifier-rejected → 422
 		{IR: trapWire, Cores: 2},                              // 3: semantic trap → 422
 		{IR: missWire, Cores: 2},                              // 4: healthy cold compile
+		{Kernel: "sphot-1", Cores: 2, Engine: "burst"},        // 5: unknown engine → 400
 	}}
 	code, items, trailer := postBatch(t, ts, req)
 	if code != http.StatusOK {
@@ -105,7 +106,7 @@ func TestBatchMixedItemIsolation(t *testing.T) {
 	for _, it := range items {
 		byIndex[it.Index] = it
 	}
-	wantStatus := map[int]int{0: 200, 1: 400, 2: 422, 3: 422, 4: 200}
+	wantStatus := map[int]int{0: 200, 1: 400, 2: 422, 3: 422, 4: 200, 5: 400}
 	for idx, want := range wantStatus {
 		got, ok := byIndex[idx]
 		if !ok {
@@ -126,11 +127,14 @@ func TestBatchMixedItemIsolation(t *testing.T) {
 	if !strings.Contains(byIndex[3].Error, "division by zero") {
 		t.Errorf("trap item error %q does not carry the trap diagnostic", byIndex[3].Error)
 	}
+	if want := `unknown engine "burst" (have [threaded reference])`; !strings.Contains(byIndex[5].Error, want) {
+		t.Errorf("engine item error %q does not contain %q", byIndex[5].Error, want)
+	}
 	if trailer == nil {
 		t.Fatal("stream has no trailer")
 	}
-	if trailer.Items != 5 || trailer.OK != 2 || trailer.Failed != 3 || trailer.Canceled != 0 {
-		t.Errorf("trailer %+v, want items=5 ok=2 failed=3 canceled=0", trailer)
+	if trailer.Items != 6 || trailer.OK != 2 || trailer.Failed != 4 || trailer.Canceled != 0 {
+		t.Errorf("trailer %+v, want items=6 ok=2 failed=4 canceled=0", trailer)
 	}
 }
 

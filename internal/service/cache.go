@@ -22,7 +22,7 @@ import (
 
 // pipelineKey is the part of the content address that is not the kernel
 // itself: every compiler and machine option that changes the artifact.
-// Simulation-engine selection (burst vs reference) is deliberately absent —
+// Simulation-engine selection (threaded vs reference) is deliberately absent —
 // the engines are bit-identical, so both serve from one artifact.
 type pipelineKey struct {
 	Cores           int   `json:"cores"`

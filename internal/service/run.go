@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -55,12 +56,9 @@ type RunRequest struct {
 	// content-addressable and byte-identical across replicas).
 	Partitioner string `json:"partitioner,omitempty"`
 
-	// Reference routes the simulation through the retained per-instruction
-	// engine instead of the burst engine (bit-identical results).
-	Reference bool `json:"reference,omitempty"`
-	// Engine selects the execution engine by name ("burst", "reference",
-	// "threaded"); it wins over Reference when both are set. All engines
-	// return bit-identical results — the lever trades host time only.
+	// Engine selects the execution engine by name (see sim.Engines; "" is
+	// the threaded default). Both engines return bit-identical results —
+	// the lever trades host time only. An unknown name is a 400.
 	Engine string `json:"engine,omitempty"`
 	// Attribution includes the stall-attribution report text.
 	Attribution bool `json:"attribution,omitempty"`
@@ -120,6 +118,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
+	if ae := s.checkEngine(req.Engine); ae != nil {
+		writeJSON(w, ae.status, ae.body)
+		return
+	}
 	s.admit(w, r, time.Duration(req.TimeoutMs)*time.Millisecond, func(ctx context.Context) {
 		resp, ae := s.execute(ctx, &req)
 		if ae != nil {
@@ -147,6 +149,17 @@ type apiError struct {
 
 func apiErrorf(status int, format string, args ...any) *apiError {
 	return &apiError{status: status, body: errorBody{Error: fmt.Sprintf(format, args...)}}
+}
+
+// checkEngine rejects an unknown simulation engine name as a 400 that
+// lists the accepted ones, so a typo never costs an admission slot or a
+// compile. "" selects the default engine.
+func (s *Server) checkEngine(name string) *apiError {
+	if name == "" || slices.Contains(sim.Engines(), name) {
+		return nil
+	}
+	s.met.errors.Add(1)
+	return apiErrorf(http.StatusBadRequest, "unknown engine %q (have %v)", name, sim.Engines())
 }
 
 // resolveLoop resolves a request's loop selector — exactly one of a
@@ -354,9 +367,8 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	compileMs := float64(time.Since(compileStart)) / float64(time.Millisecond)
 
 	// Simulate under the request context: a client disconnect or deadline
-	// aborts within one burst horizon (sim.RunContext).
+	// aborts within one cancellation stride (sim.RunContext).
 	cfg := art.MachineConfig()
-	cfg.Reference = req.Reference
 	cfg.Engine = req.Engine
 	var rec *obs.Recorder
 	if req.Attribution || req.Trace != "" {

@@ -17,8 +17,9 @@
 //     queue-depth limit sheds load with 429 before work piles up, every
 //     request carries a deadline, and SIGTERM drains gracefully.
 //   - Cancellation: the request context is threaded through the compile
-//     pipeline into the simulator, which aborts within one burst horizon
-//     when the client disconnects or the deadline passes (sim.RunContext).
+//     pipeline into the simulator, which aborts within one cancellation
+//     stride when the client disconnects or the deadline passes
+//     (sim.RunContext).
 //
 // A fourth concern arrived with scale: persistence. When Config.StoreDir
 // is set, compiled artifacts and sequential baselines are written through

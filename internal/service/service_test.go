@@ -162,19 +162,34 @@ func TestRunInlineIRSharesCache(t *testing.T) {
 
 func TestRunReferenceEngineMatches(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, burst, _ := postRun(t, ts, RunRequest{Kernel: "umt2k-1", Cores: 2})
+	code, def, _ := postRun(t, ts, RunRequest{Kernel: "umt2k-1", Cores: 2})
 	if code != 200 {
-		t.Fatalf("burst run: %d", code)
+		t.Fatalf("default-engine run: %d", code)
 	}
-	code, ref, _ := postRun(t, ts, RunRequest{Kernel: "umt2k-1", Cores: 2, Reference: true})
+	code, ref, _ := postRun(t, ts, RunRequest{Kernel: "umt2k-1", Cores: 2, Engine: "reference"})
 	if code != 200 {
 		t.Fatalf("reference run: %d", code)
 	}
-	if burst.Cycles != ref.Cycles {
-		t.Errorf("engines disagree over HTTP: burst %d, reference %d", burst.Cycles, ref.Cycles)
+	if def.Cycles != ref.Cycles {
+		t.Errorf("engines disagree over HTTP: default %d, reference %d", def.Cycles, ref.Cycles)
 	}
 	if !ref.CachedArtifact {
 		t.Error("engine selection must not change the content address")
+	}
+}
+
+// TestRunUnknownEngineRejectedBeforeAdmission: an engine typo is answered
+// before the request takes an admission slot or compiles anything.
+func TestRunUnknownEngineRejectedBeforeAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	code, _, msg := postRun(t, ts, RunRequest{Kernel: "irs-1", Engine: "burst"})
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (error %q)", code, msg)
+	}
+	m := s.Snapshot()
+	if m.Requests != 0 || m.Artifacts.Compiles != 0 || m.Errors != 1 {
+		t.Errorf("rejection reached admission: requests=%d compiles=%d errors=%d",
+			m.Requests, m.Artifacts.Compiles, m.Errors)
 	}
 }
 
@@ -194,6 +209,9 @@ func TestRunValidation(t *testing.T) {
 		{"negative queue", `{"kernel":"irs-1","queue_len":-1}`, 400, "queue_len"},
 		{"unknown field", `{"kernel":"irs-1","corse":4}`, 400, "unknown field"},
 		{"bad trace format", `{"kernel":"sphot-1","cores":2,"trace":"svg"}`, 400, "unknown trace format"},
+		{"unknown engine", `{"kernel":"irs-1","engine":"bogus"}`, 400, `unknown engine "bogus" (have [threaded reference])`},
+		{"deleted burst engine", `{"kernel":"irs-1","engine":"burst"}`, 400, `unknown engine "burst"`},
+		{"legacy reference field", `{"kernel":"irs-1","reference":true}`, 400, "unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,6 +1,5 @@
 // Cancellation conformance for both engines: a context cancelled before or
-// during a run must abort it promptly (the burst engine within one
-// cancellation stride, the reference engine within one polling stride),
+// during a run must abort it promptly (within one cancellation stride),
 // return the bare context error, leak no goroutines, and leave results of
 // uncancelled runs bit-identical to Run().
 
@@ -35,13 +34,15 @@ func spinProg(bound int64) *isa.Program {
 	)
 }
 
+// engineConfigs returns the single-core test machine once per engine.
 func engineConfigs() map[string]Config {
-	burst := cfg1()
-	ref := cfg1()
-	ref.Reference = true
-	threaded := cfg1()
-	threaded.Engine = EngineThreaded
-	return map[string]Config{"burst": burst, "reference": ref, "threaded": threaded}
+	cfgs := map[string]Config{}
+	for _, e := range Engines() {
+		c := cfg1()
+		c.Engine = e
+		cfgs[e] = c
+	}
+	return cfgs
 }
 
 func TestRunContextPreCancelled(t *testing.T) {

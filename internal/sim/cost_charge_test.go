@@ -225,13 +225,19 @@ func TestChargesEveryTableEntry(t *testing.T) {
 			if metric == nil {
 				metric = func(r *Result) int64 { return r.Cycles }
 			}
-			base := metric(runResult(t, c.progs(), c.memory(), c.config()))
-			bumped := c.config()
-			c.bump(&bumped.Cost)
-			inflated := metric(runResult(t, c.progs(), c.memory(), bumped))
-			if got, want := inflated-base, c.count*delta; got != want {
-				t.Errorf("inflating %s by %d moved total cycles by %d, want %d (%d occurrence(s))",
-					c.name, delta, got, want, c.count)
+			for _, engine := range Engines() {
+				t.Run(engine, func(t *testing.T) {
+					base := c.config()
+					base.Engine = engine
+					bumped := base
+					c.bump(&bumped.Cost)
+					before := metric(runResult(t, c.progs(), c.memory(), base))
+					inflated := metric(runResult(t, c.progs(), c.memory(), bumped))
+					if got, want := inflated-before, c.count*delta; got != want {
+						t.Errorf("inflating %s by %d moved total cycles by %d, want %d (%d occurrence(s))",
+							c.name, delta, got, want, c.count)
+					}
+				})
 			}
 		})
 	}

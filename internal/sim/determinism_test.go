@@ -1,13 +1,17 @@
 package sim_test
 
-// Determinism tests: the burst engine must be a pure host-speed
+// Determinism tests: the threaded engine must be a pure host-speed
 // optimization. For every kernel of the paper's evaluation, at 2 and 4
 // cores, with and without control-flow speculation, the full simulation
 // Result — cycles, per-core cycles and instruction counts, enqueue and
 // dequeue stalls, queue statistics, cache statistics, and live-out values —
-// must be bit-identical between the burst engine and the retained
-// per-instruction reference scheduler. Any divergence is a correctness bug
-// in burst execution, not a tolerable approximation.
+// must be bit-identical between the default threaded engine and the
+// retained per-instruction reference scheduler. Any divergence is a
+// correctness bug in the threaded engine, not a tolerable approximation.
+//
+// The TestBurst* names date from when the default engine was the burst
+// engine, since deleted; the tests now hold the threaded default to the
+// reference.
 
 import (
 	"fmt"
@@ -21,17 +25,11 @@ import (
 )
 
 // runEngines compiles nothing: it simulates an existing artifact once per
-// engine and returns all three results.
-func runEngines(t *testing.T, a *core.Artifact, cfg sim.Config) (burst, threaded, ref *sim.Result) {
+// engine and returns both results.
+func runEngines(t *testing.T, a *core.Artifact, cfg sim.Config) (threaded, ref *sim.Result) {
 	t.Helper()
-	cfg.Reference = false
-	cfg.Engine = sim.EngineBurst
-	burst, err := a.Run(cfg)
-	if err != nil {
-		t.Fatalf("burst run: %v", err)
-	}
 	cfg.Engine = sim.EngineThreaded
-	threaded, err = a.Run(cfg)
+	threaded, err := a.Run(cfg)
 	if err != nil {
 		t.Fatalf("threaded run: %v", err)
 	}
@@ -40,37 +38,30 @@ func runEngines(t *testing.T, a *core.Artifact, cfg sim.Config) (burst, threaded
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	return burst, threaded, ref
-}
-
-// diffAllEngines asserts both optimized engines against the reference.
-func diffAllEngines(t *testing.T, label string, burst, threaded, ref *sim.Result) {
-	t.Helper()
-	diffResults(t, label+"/burst", burst, ref)
-	diffResults(t, label+"/threaded", threaded, ref)
+	return threaded, ref
 }
 
 // diffResults compares every observable field of two results.
-func diffResults(t *testing.T, label string, burst, ref *sim.Result) {
+func diffResults(t *testing.T, label string, got, ref *sim.Result) {
 	t.Helper()
 	type cmp struct {
 		name      string
 		got, want any
 	}
 	checks := []cmp{
-		{"Cycles", burst.Cycles, ref.Cycles},
-		{"PerCoreCycles", burst.PerCoreCycles, ref.PerCoreCycles},
-		{"PerCoreInstrs", burst.PerCoreInstrs, ref.PerCoreInstrs},
-		{"EnqStalls", burst.EnqStalls, ref.EnqStalls},
-		{"DeqStalls", burst.DeqStalls, ref.DeqStalls},
-		{"QueuesUsed", burst.QueuesUsed, ref.QueuesUsed},
-		{"PairsUsed", burst.PairsUsed, ref.PairsUsed},
-		{"Transfers", burst.Transfers, ref.Transfers},
-		{"LoadHits", burst.LoadHits, ref.LoadHits},
-		{"LoadMisses", burst.LoadMisses, ref.LoadMisses},
-		{"LiveOut", burst.LiveOut, ref.LiveOut},
-		{"QueueHighWater", burst.QueueHighWater, ref.QueueHighWater},
-		{"MemPortBusyCycles", burst.MemPortBusyCycles, ref.MemPortBusyCycles},
+		{"Cycles", got.Cycles, ref.Cycles},
+		{"PerCoreCycles", got.PerCoreCycles, ref.PerCoreCycles},
+		{"PerCoreInstrs", got.PerCoreInstrs, ref.PerCoreInstrs},
+		{"EnqStalls", got.EnqStalls, ref.EnqStalls},
+		{"DeqStalls", got.DeqStalls, ref.DeqStalls},
+		{"QueuesUsed", got.QueuesUsed, ref.QueuesUsed},
+		{"PairsUsed", got.PairsUsed, ref.PairsUsed},
+		{"Transfers", got.Transfers, ref.Transfers},
+		{"LoadHits", got.LoadHits, ref.LoadHits},
+		{"LoadMisses", got.LoadMisses, ref.LoadMisses},
+		{"LiveOut", got.LiveOut, ref.LiveOut},
+		{"QueueHighWater", got.QueueHighWater, ref.QueueHighWater},
+		{"MemPortBusyCycles", got.MemPortBusyCycles, ref.MemPortBusyCycles},
 	}
 	for _, c := range checks {
 		if !reflect.DeepEqual(c.got, c.want) {
@@ -80,8 +71,8 @@ func diffResults(t *testing.T, label string, burst, ref *sim.Result) {
 }
 
 // TestBurstMatchesReferenceAllKernels is the tentpole guarantee: for all 18
-// kernels × {2, 4} cores × {speculation off, on}, burst-mode results are
-// identical to the reference per-instruction scheduler.
+// kernels × {2, 4} cores × {speculation off, on}, default-engine results
+// are identical to the reference per-instruction scheduler.
 func TestBurstMatchesReferenceAllKernels(t *testing.T) {
 	for _, k := range kernels.All() {
 		for _, cores := range []int{2, 4} {
@@ -96,8 +87,8 @@ func TestBurstMatchesReferenceAllKernels(t *testing.T) {
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}
-					burst, threaded, ref := runEngines(t, a, a.MachineConfig())
-					diffAllEngines(t, name, burst, threaded, ref)
+					threaded, ref := runEngines(t, a, a.MachineConfig())
+					diffResults(t, name, threaded, ref)
 				})
 			}
 		}
@@ -115,8 +106,8 @@ func TestBurstMatchesReferenceSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			burst, threaded, ref := runEngines(t, a, a.MachineConfig())
-			diffAllEngines(t, k.Name, burst, threaded, ref)
+			threaded, ref := runEngines(t, a, a.MachineConfig())
+			diffResults(t, k.Name, threaded, ref)
 		})
 	}
 }
@@ -147,17 +138,17 @@ func TestBurstMatchesReferenceConfigSweep(t *testing.T) {
 			t.Parallel()
 			cfg := a.MachineConfig()
 			mod(&cfg)
-			burst, threaded, ref := runEngines(t, a, cfg)
-			diffAllEngines(t, name, burst, threaded, ref)
+			threaded, ref := runEngines(t, a, cfg)
+			diffResults(t, name, threaded, ref)
 		})
 	}
 }
 
 // TestEventStreamMatchesAcrossEngines asserts the tentpole observability
-// guarantee: with a sink attached, the burst and reference engines deliver
-// the identical canonical event stream — every retire, queue operation,
-// stall window and region boundary, bit for bit — and still produce
-// identical Results.
+// guarantee: with a sink attached, the threaded and reference engines
+// deliver the identical canonical event stream — every retire, queue
+// operation, stall window and region boundary, bit for bit — and still
+// produce identical Results.
 func TestEventStreamMatchesAcrossEngines(t *testing.T) {
 	for _, name := range []string{"sphot-1", "irs-1", "lammps-1", "umt2k-3"} {
 		for _, cores := range []int{2, 3, 4} {
@@ -180,26 +171,24 @@ func TestEventStreamMatchesAcrossEngines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
-				for _, engine := range []string{sim.EngineBurst, sim.EngineThreaded} {
-					rec := obs.NewRecorder()
-					cfg.Engine = engine
-					cfg.Sink = rec
-					res, err := a.Run(cfg)
-					if err != nil {
-						t.Fatalf("%s run: %v", engine, err)
-					}
-					diffResults(t, name+"/"+engine, res, ref)
+				rec := obs.NewRecorder()
+				cfg.Engine = sim.EngineThreaded
+				cfg.Sink = rec
+				res, err := a.Run(cfg)
+				if err != nil {
+					t.Fatalf("threaded run: %v", err)
+				}
+				diffResults(t, name, res, ref)
 
-					if !reflect.DeepEqual(rec.Meta, rRec.Meta) {
-						t.Errorf("sink metadata diverges: %s %+v, reference %+v", engine, rec.Meta, rRec.Meta)
-					}
-					if len(rec.Events) != len(rRec.Events) {
-						t.Fatalf("event counts diverge: %s %d, reference %d", engine, len(rec.Events), len(rRec.Events))
-					}
-					for i := range rec.Events {
-						if rec.Events[i] != rRec.Events[i] {
-							t.Fatalf("event %d diverges:\n  %-9s %+v\n  reference %+v", i, engine, rec.Events[i], rRec.Events[i])
-						}
+				if !reflect.DeepEqual(rec.Meta, rRec.Meta) {
+					t.Errorf("sink metadata diverges: threaded %+v, reference %+v", rec.Meta, rRec.Meta)
+				}
+				if len(rec.Events) != len(rRec.Events) {
+					t.Fatalf("event counts diverge: threaded %d, reference %d", len(rec.Events), len(rRec.Events))
+				}
+				for i := range rec.Events {
+					if rec.Events[i] != rRec.Events[i] {
+						t.Fatalf("event %d diverges:\n  threaded  %+v\n  reference %+v", i, rec.Events[i], rRec.Events[i])
 					}
 				}
 			})
@@ -249,7 +238,7 @@ func TestStallAttributionSumsToAggregates(t *testing.T) {
 	}
 }
 
-// TestBurstVerifiesAgainstInterpreter runs the burst engine through the
+// TestBurstVerifiesAgainstInterpreter runs the default engine through the
 // full memory-image verification against the reference interpreter for a
 // handful of kernels, closing the loop end-to-end.
 func TestBurstVerifiesAgainstInterpreter(t *testing.T) {

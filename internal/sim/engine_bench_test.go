@@ -20,7 +20,7 @@ func BenchmarkEngines(b *testing.B) {
 		}
 		arts = append(arts, a)
 	}
-	for _, engine := range []string{sim.EngineBurst, sim.EngineThreaded, sim.EngineReference} {
+	for _, engine := range sim.Engines() {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, a := range arts {
@@ -47,7 +47,7 @@ func BenchmarkEnginesSequential(b *testing.B) {
 		}
 		arts = append(arts, a)
 	}
-	for _, engine := range []string{sim.EngineBurst, sim.EngineThreaded, sim.EngineReference} {
+	for _, engine := range sim.Engines() {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, a := range arts {

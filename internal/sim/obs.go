@@ -1,9 +1,10 @@
 // Observability plumbing: the machine-side half of internal/obs. Events are
 // appended to per-core buffers in each core's execution order while the run
 // is in flight, then merged into the canonical (Time, Core)-stable order and
-// delivered to the sink. Because both engines execute every core through the
-// identical per-core sequence, the canonical stream is bit-identical between
-// them — the determinism tests and the fuzz oracle enforce this.
+// delivered to the sink. A sink-attached run always executes on the
+// reference scheduler (the threaded engine hands it over), so the
+// canonical stream is the same whichever engine was selected — the
+// determinism tests enforce this.
 
 package sim
 

@@ -64,48 +64,27 @@ type Config struct {
 	Trace io.Writer
 	// Sink, when non-nil, receives the typed observability event stream —
 	// instruction retires, queue operations, stall windows with causes,
-	// region markers — in canonical order after the run, identical between
-	// the burst and reference engines. A nil sink costs nothing: every
-	// emission hides behind one predictable branch.
+	// region markers — in canonical order after the run, identical under
+	// both engines. A nil sink costs nothing: every emission hides behind
+	// one predictable branch.
 	Sink obs.Sink
-	// Reference forces the retained per-instruction scheduler: one global
-	// scheduling decision per executed instruction, exactly the seed
-	// implementation. The default engine executes each picked core in
-	// uninterrupted bursts of non-communicating instructions instead; both
-	// engines produce bit-identical Results (cycles, stalls, transfers,
-	// live-outs), which the determinism tests enforce. The reference engine
-	// remains as the oracle the burst engine is validated against.
-	Reference bool
-	// Engine selects the execution engine by name: EngineBurst (the
-	// default), EngineReference (the per-instruction oracle, equivalent to
-	// Reference: true), or EngineThreaded (basic-block threaded code; see
-	// threaded.go). When set it takes precedence over the legacy Reference
-	// flag; an unknown name fails the run. All engines produce bit-identical
-	// Results and event streams.
+	// Engine selects the execution engine by name: EngineThreaded (the
+	// default when empty; block-fused threaded code, see threaded.go) or
+	// EngineReference (one global scheduling decision per executed
+	// instruction, the oracle the threaded engine is validated against).
+	// Validate rejects any other name. Both engines produce bit-identical
+	// Results and event streams, which the determinism tests enforce.
 	Engine string
 }
 
 // Engine names accepted by Config.Engine.
 const (
-	EngineBurst     = "burst"
-	EngineReference = "reference"
 	EngineThreaded  = "threaded"
+	EngineReference = "reference"
 )
 
 // Engines lists the selectable execution engines, default first.
-func Engines() []string { return []string{EngineBurst, EngineReference, EngineThreaded} }
-
-// EngineName resolves the effective engine: Engine when set, else the
-// legacy Reference flag, else the burst default.
-func (c *Config) EngineName() string {
-	if c.Engine != "" {
-		return c.Engine
-	}
-	if c.Reference {
-		return EngineReference
-	}
-	return EngineBurst
-}
+func Engines() []string { return []string{EngineThreaded, EngineReference} }
 
 // DefaultConfig returns the configuration used by the paper's main
 // experiments: queue length 20, transfer latency 5 cycles.
@@ -199,9 +178,6 @@ type Machine struct {
 	prof [][2]int64
 	// portBusy totals the cycles the memory port spent occupied.
 	portBusy int64
-	// code holds the predecoded programs the burst engine executes; built
-	// lazily on the first burst-mode Run.
-	code [][]dinstr
 	// Threaded-engine state (threaded.go/tcompile.go): the compiled block
 	// programs, per-core typed register files, and the machine's memory
 	// array bindings; all nil until the first threaded-mode Run.
@@ -276,29 +252,29 @@ func New(progs []*isa.Program, memory *mem.Memory, cfg Config) (*Machine, error)
 // state dump wrapped around ErrDeadlock) if all unfinished cores block.
 //
 // Two engines produce the identical deterministic execution: the default
-// burst engine (runBurst) executes each picked core in uninterrupted runs
-// of non-communicating instructions, and the reference engine
-// (runReference) re-enters the global scheduler after every instruction.
-// Config.Reference selects the latter. Both engines feed Config.Sink and
-// Config.Trace, and produce the identical canonical event stream.
+// threaded engine (runThreaded) executes each picked core in fused basic
+// blocks, and the reference engine (runReference) re-enters the global
+// scheduler after every instruction. Config.Engine selects between them.
+// Both engines feed Config.Sink and Config.Trace, and produce the
+// identical canonical event stream.
 //
 // On error (deadlock, runaway), the events emitted so far still reach the
 // sink, so a partial trace of the failing run survives.
 func (m *Machine) Run() (*Result, error) { return m.RunContext(context.Background()) }
 
 // cancelStride is how many executed instructions may pass between context
-// checks: the reference engine polls ctx.Done() every cancelStride steps,
-// and the burst engine caps each uninterrupted burst at cancelStride steps
-// when the context is cancellable (a context.Background() run pays nothing).
-// It bounds cancellation latency to one burst horizon — a few tens of
-// microseconds of host time — while keeping the poll off the per-instruction
-// hot path. Must be a power of two.
+// checks: both schedulers poll ctx.Done() every cancelStride steps, and the
+// threaded engine also caps each pick at cancelStride steps when the
+// context is cancellable (a context.Background() run pays nothing). It
+// bounds cancellation latency to one stride — a few tens of microseconds
+// of host time — while keeping the poll off the per-instruction hot path.
+// Must be a power of two.
 const cancelStride = 1 << 16
 
 // RunContext is Run with cooperative cancellation: when ctx is cancelled or
-// its deadline passes, the simulation aborts within one burst horizon (at
-// most cancelStride instructions) and returns ctx.Err() verbatim. Events
-// emitted before the abort still reach the sink, like any other error path.
+// its deadline passes, the simulation aborts within one stride (at most
+// cancelStride instructions) and returns ctx.Err() verbatim. Events emitted
+// before the abort still reach the sink, like any other error path.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	sink := m.cfg.Sink
 	var bw *bufio.Writer
@@ -317,15 +293,10 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	var res *Result
 	var err error
-	switch eng := m.cfg.EngineName(); eng {
-	case EngineReference:
+	if m.cfg.Engine == EngineReference {
 		res, err = m.runReference(ctx)
-	case EngineThreaded:
+	} else {
 		res, err = m.runThreaded(ctx)
-	case EngineBurst:
-		res, err = m.runBurst(ctx)
-	default:
-		res, err = nil, fmt.Errorf("sim: unknown engine %q (have %v)", eng, Engines())
 	}
 	if sink != nil {
 		if serr := m.drainObs(sink); serr != nil && err == nil {
@@ -357,7 +328,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // runReference is the retained per-instruction scheduler: the seed
-// implementation, kept verbatim as the oracle for the burst engine (plus
+// implementation, kept verbatim as the oracle for the threaded engine (plus
 // the strided cancellation poll both engines share).
 func (m *Machine) runReference(ctx context.Context) (*Result, error) {
 	done := ctx.Done()
@@ -418,10 +389,10 @@ func (m *Machine) coreByID(id int) *coreState {
 }
 
 // step executes one instruction on c, emitting the completion's
-// observability events when a sink is attached. The scheduler and the burst
-// engine's communication path both come through here, so queue, stall and
-// retire emission lives in one place. The wrapper is small enough to
-// inline, so the nil-sink path costs one predictable branch over calling
+// observability events when a sink is attached. The reference scheduler and
+// the threaded engine's fallback path both come through here, so queue,
+// stall and retire emission lives in one place. The wrapper is small enough
+// to inline, so the nil-sink path costs one predictable branch over calling
 // stepExec directly.
 func (m *Machine) step(c *coreState) error {
 	if m.sink != nil {

@@ -36,13 +36,12 @@
 //   - the only indirect jump allowed is the canonical secondary-thread
 //     driver (pc0 deq / pc1 fjp / pc2 jr), whose jump register provably
 //     holds the value a cooperating primary enqueued; a runtime guard
-//     deoptimizes the core to the burst engine if the target is ever not
+//     deoptimizes the core to the reference step if the target is ever not
 //     the driver body.
 //
 // A program failing any check is simply ineligible: the machine runs that
-// core on the burst engine, which is already bit-identical to the
-// reference, so eligibility is purely a performance property — never a
-// correctness one.
+// core one reference step per scheduler pick, so eligibility is purely a
+// performance property — never a correctness one.
 //
 // Compiled tprogs are immutable and cached content-addressed (program text
 // + cost table), so fgpd's singleflight compile cache and the experiment

@@ -1,52 +1,61 @@
 // Threaded-code execution engine (runtime half; tcompile.go is the
 // translation pass).
 //
-// The burst engine already collapsed most scheduling decisions; what it
-// still pays per instruction is dispatch: one switch, one latency add, one
-// boxed interp.Value write, and a budget/step update for every micro-op.
-// The threaded engine removes that too. Each picked core executes whole
-// fused basic blocks: straight-line typed micro-ops over split float64/
-// int64 register files (no per-value kind guards — kinds were resolved
-// statically), with the block's entire static cycle cost folded into
-// per-block charges applied at time-sync points instead of per-op adds.
-// The scheduler-visible unit of work drops from an instruction to a block.
+// The reference scheduler (runReference) re-enters the global scheduler
+// after every instruction, although cores interact only through the
+// hardware queues and the shared memory port (the invariant documented at
+// the top of sim.go). The threaded engine exploits that twice. First, a
+// picked core keeps executing without rescheduling: work on core-local
+// state and race-free memory data is observationally identical whenever it
+// runs, and operations on shared state run inline only while the core is
+// provably still the scheduler's (time, id)-minimal pick — ahead of the
+// horizon, the next runnable core in scheduler order — so their globally
+// visible effects occur at exactly the reference engine's moment. Second,
+// it removes per-instruction dispatch: each pick executes whole fused basic
+// blocks of straight-line typed micro-ops over split float64/int64 register
+// files (no per-value kind guards — kinds were resolved statically), with
+// the block's entire static cycle cost folded into per-block charges
+// applied at time-sync points instead of per-op adds. The
+// scheduler-visible unit of work drops from an instruction to a block.
 //
 // Time accounting. Loads are the only data-dependent time sources inside a
 // block (L1 hit/miss plus memory-port serialization), so they are the
 // block's sync points: a load eagerly applies the folded static charge
 // accrued since the previous sync (op.pre), then its own dynamic latency;
 // the block's terminator applies the remaining tail. Entering a block at
-// an arbitrary op j (resuming after a yield, a blocked queue, or a burst
-// handoff) subtracts preAt(b, j) once, which makes cold entry, mid-block
-// resume and terminator-entry all the same code path: c.pc is the only
-// resume state.
+// an arbitrary op j (resuming after a yield, a blocked queue, or a
+// reference step) subtracts preAt(b, j) once, which makes cold entry,
+// mid-block resume and terminator-entry all the same code path: c.pc is
+// the only resume state.
 //
-// Yield discipline — identical to burst by construction:
+// Yield discipline:
 //   - loads that would miss while the core is past the (time, id) horizon
 //     yield before touching the shared memory port;
 //   - enqueues/dequeues are ordinary in-block micro-ops that run inline
 //     while the core is provably the scheduler's next pick, else they
 //     yield; full/empty queues block with the exact stall bookkeeping of
-//     the reference step;
+//     the reference step (the two order-independent cases that may run
+//     past the horizon are argued at their micro-ops below);
 //   - the per-pick step budget (MaxSteps remainder, clamped to
 //     cancelStride under a cancellable context) bounds a pick at block
-//     granularity; a single pick that cannot fit even one block falls back
-//     to the burst engine for that pick, which is bit-identical anyway.
+//     granularity; a pick that cannot fit even one block executes a single
+//     reference step instead.
 //
-// Deoptimization. Two runtime guards cover what static analysis cannot:
-// an indirect jump whose target is not the canonical driver body, and a
-// dequeued value whose kind differs from the statically solved one. Both
-// materialize the typed registers back into the boxed register file,
-// complete the faulting instruction with reference semantics, and
-// permanently hand the core to the burst engine. Materialization is exact
-// because every dynamically-assigned register holds a "clean" Value
-// (single-field, as interp constructs them) of the solved kind, and the
-// definite-assignment analysis proves reads never observe unassigned
-// registers.
+// Fallback. A core whose program fails translation, or that deoptimized at
+// run time, executes one reference step (m.step) per scheduler pick, which
+// is bit-identical by construction. Two runtime guards deoptimize what
+// static analysis cannot cover: an indirect jump whose target is not the
+// canonical driver body, and a dequeued value whose kind differs from the
+// statically solved one. Both materialize the typed registers back into
+// the boxed register file, complete the faulting instruction with
+// reference semantics, and permanently hand the core to the step fallback.
+// Materialization is exact because every dynamically-assigned register
+// holds a "clean" Value (single-field, as interp constructs them) of the
+// solved kind, and the definite-assignment analysis proves reads never
+// observe unassigned registers.
 //
-// With an event sink attached the engine delegates to runBurst, which
-// already decomposes to the shared per-instruction step path — the event
-// stream is byte-identical to the reference engine by construction.
+// With an event sink attached the whole run goes to runReference, so the
+// event stream is the reference engine's by construction.
 
 package sim
 
@@ -65,13 +74,14 @@ type tcore struct {
 	tp    *tprog // this core's compiled program (hot-path copy of m.tprogs[id])
 	fregs []float64
 	iregs []int64
-	deopt bool // permanently back on the burst engine (a runtime guard failed)
+	deopt bool // permanently on the reference step (a runtime guard failed)
 	stale bool // typed files must be rehydrated from c.regs before use
 }
 
 // tinit compiles (or fetches from the content-addressed cache) every
 // per-core program and binds the machine's memory arrays. Cores whose
-// programs are ineligible simply keep a nil tcore and run on burst.
+// programs are ineligible simply keep a nil tcore and run on the reference
+// step.
 func (m *Machine) tinit() {
 	if m.tprogs != nil {
 		return
@@ -122,28 +132,26 @@ func (m *Machine) tmaterialize(c *coreState, tc *tcore) {
 	tc.stale = true
 }
 
-// runThreaded is the outer scheduler of the threaded engine: the burst
+// runThreaded is the outer scheduler of the threaded engine: the reference
 // scheduler with block-granular picks for eligible cores.
 func (m *Machine) runThreaded(ctx context.Context) (*Result, error) {
 	if m.sink != nil {
 		// Under instrumentation every instruction must flow through the
 		// shared step path so the event stream matches the reference engine
-		// by construction; runBurst is exactly that decomposition already.
-		return m.runBurst(ctx)
-	}
-	if m.code == nil {
-		m.decode() // burst fallbacks and deoptimized cores execute this
+		// by construction.
+		return m.runReference(ctx)
 	}
 	m.tinit()
 	done := ctx.Done()
-	var steps int64
+	var steps, poll int64
 	for {
-		if done != nil {
+		if done != nil && steps >= poll {
 			select {
 			case <-done:
 				return nil, ctx.Err()
 			default:
 			}
+			poll = steps + cancelStride
 		}
 		c, hTime, hID := m.pickCore2()
 		if c == nil {
@@ -152,31 +160,7 @@ func (m *Machine) runThreaded(ctx context.Context) (*Result, error) {
 			}
 			return nil, fmt.Errorf("%w\n%s", ErrDeadlock, m.dump())
 		}
-		tc := m.tcores[c.id]
-		if tc == nil || tc.deopt {
-			// Ineligible or deoptimized core: the burst engine's per-pick
-			// body, verbatim (bit-identical to the reference engine).
-			code := m.code[c.id]
-			if c.pc < 0 || c.pc >= len(code) {
-				return nil, fmt.Errorf("sim: core %d pc %d t=%d: pc out of program (len %d)", c.id, c.pc, c.time, len(code))
-			}
-			if u := code[c.pc].u; u == uEnq || u == uDeq {
-				if err := m.step(c); err != nil {
-					return nil, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, err)
-				}
-				steps++
-			} else {
-				budget := m.cfg.MaxSteps - steps + 1
-				if done != nil && budget > cancelStride {
-					budget = cancelStride
-				}
-				n, err := m.burst(c, hTime, hID, budget)
-				steps += n
-				if err != nil {
-					return nil, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, err)
-				}
-			}
-		} else {
+		if tc := m.tcores[c.id]; tc != nil && !tc.deopt {
 			// Eligible pick: enter the resident scheduler, which keeps
 			// executing picks (of any eligible core) without unwinding, and
 			// hands back only when the next pick needs the fallback path.
@@ -185,6 +169,12 @@ func (m *Machine) runThreaded(ctx context.Context) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+		} else {
+			// Ineligible or deoptimized core: one reference step per pick.
+			if err := m.step(c); err != nil {
+				return nil, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, err)
+			}
+			steps++
 		}
 		if steps > m.cfg.MaxSteps {
 			return nil, fmt.Errorf("sim: exceeded MaxSteps=%d (livelock?)\n%s", m.cfg.MaxSteps, m.dump())
@@ -202,7 +192,7 @@ func (m *Machine) runThreaded(ctx context.Context) (*Result, error) {
 // instructions executed since entry and hands control back to runThreaded
 // when the next pick needs the fallback path (ineligible or deoptimized
 // core), when all cores halt or block, on cancellation, or on any error
-// (already wrapped exactly as the burst scheduler would).
+// (already wrapped exactly as the reference scheduler would).
 //
 // On entry c is the scheduler's (time, id)-minimal pick with horizon
 // (hTime, hID), so the first instruction — including a communication op or
@@ -270,19 +260,19 @@ pick:
 				c.pc = pcAt(b, op)
 				c.time = time
 				if steps == 0 {
-					// A pick must make progress; hand this one to the burst
-					// engine at instruction granularity (bit-identical), leaving
-					// the typed files stale for the next pick. burst updates
-					// c.instrs itself, so steps stays zero here.
+					// A pick must make progress: run one reference step
+					// (bit-identical), leaving the typed files stale for the
+					// next pick. step updates c.instrs itself, so steps stays
+					// zero here.
 					m.memPortFree = portFree
 					m.portBusy = portBusy
 					m.tmaterialize(c, tc)
-					n, berr := m.burst(c, hTime, hID, budget)
+					serr := m.step(c)
 					portFree = m.memPortFree
 					portBusy = m.portBusy
-					stepsTotal += n
-					if berr != nil {
-						return stepsTotal - steps0, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, berr)
+					stepsTotal++
+					if serr != nil {
+						return stepsTotal - steps0, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, serr)
 					}
 				}
 				break blocks
@@ -535,8 +525,8 @@ pick:
 					q := queues[o.arr]
 					if q == nil {
 						if steps+int64(op-op0) > 0 {
-							// Mid-chain: yield first, like burst; the error is
-							// raised on the next pick, when this core is minimal.
+							// Mid-chain: yield first; the error is raised on the
+							// next pick, when this core is minimal.
 							steps += int64(op - op0)
 							c.pc = int(aux[op].pc)
 							c.time = time
@@ -749,7 +739,7 @@ pick:
 				steps++
 				if tgt != driverLen {
 					// Off-script indirect jump: permanently deoptimize to the
-					// burst engine, which handles any target (including an
+					// reference step, which handles any target (including an
 					// out-of-program pc, with the exact reference error).
 					c.pc = int(tgt)
 					c.time = time
@@ -818,9 +808,11 @@ pick:
 	return stepsTotal - steps0, nil
 }
 
-// pickCore2 returns the scheduler's (time, id)-minimal runnable core plus
-// the horizon — the second minimum, i.e. exactly what pickCore followed by
-// horizon(pick) would compute — in a single scan instead of two.
+// pickCore2 returns the scheduler's (time, id)-minimal runnable core (the
+// one pickCore returns) plus the horizon: the (time, id) of the second
+// minimum, up to which the pick provably stays the scheduler's choice.
+// Blocked cores are excluded: only a queue operation can wake one, and trun
+// tightens the horizon at every wake.
 func (m *Machine) pickCore2() (*coreState, int64, int) {
 	var best, second *coreState
 	for _, o := range m.cores {

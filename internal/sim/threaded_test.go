@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,54 +49,63 @@ func TestThreadedPartitionShape(t *testing.T) {
 	}
 }
 
-// TestThreadedIneligibility covers the soundness checks that demote a
-// program to the burst engine, by reason.
-func TestThreadedIneligibility(t *testing.T) {
+// ineligibleCase is one program the translation pass must refuse. runs
+// marks the programs that also complete under the reference step (the
+// others trap, loop forever, or name a queue the machine lacks).
+type ineligibleCase struct {
+	name   string
+	prog   *isa.Program
+	reason string
+	runs   bool
+}
+
+func ineligibleCases() []ineligibleCase {
 	ci := func(dst isa.Reg, v int64) isa.Instr {
 		return isa.Instr{Op: isa.ConstI, Dst: dst, A: noReg, B: noReg, ImmI: v}
 	}
 	halt := isa.Instr{Op: isa.Halt, Dst: noReg, A: noReg, B: noReg}
-	cases := []struct {
-		name   string
-		prog   *isa.Program
-		reason string
-	}{
-		{"empty", prog(0), "empty program"},
+	return []ineligibleCase{
+		{"empty", prog(0), "empty program", false},
 		{"jr outside driver", prog(0,
 			ci(0, 2),
 			isa.Instr{Op: isa.Jr, A: 0, B: noReg, Dst: noReg},
 			halt,
-		), "indirect jump outside the canonical driver"},
+		), "indirect jump outside the canonical driver", true},
 		{"branch target out of program", prog(0,
 			isa.Instr{Op: isa.Jp, Dst: noReg, A: noReg, B: noReg, Tgt: 99},
 			halt,
-		), "branch target"},
+		), "branch target", false},
 		{"kind conflict", prog(0,
 			// ConstF pins r0 to F64; Fjp requires its condition to be I64.
 			isa.Instr{Op: isa.ConstF, Dst: 0, A: noReg, B: noReg, ImmF: 1.5},
 			isa.Instr{Op: isa.Fjp, Dst: noReg, A: 0, B: noReg, Tgt: 0},
 			halt,
-		), "kind conflict"},
+		), "kind conflict", false},
 		{"possibly unassigned read", prog(0,
 			isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.I64, Dst: 1, A: 0, B: 0},
 			halt,
-		), "possibly-unassigned"},
+		), "possibly-unassigned", true},
 		{"queue id outside packing", prog(0,
 			ci(0, 1),
 			isa.Instr{Op: isa.Enq, A: 0, B: noReg, Dst: noReg, K: ir.I64, Q: 300, Edge: 1},
 			halt,
-		), "queue id 300 outside the packed encoding"},
+		), "queue id 300 outside the packed encoding", false},
 		{"edge tag outside packing", prog(0,
 			ci(0, 1),
 			isa.Instr{Op: isa.Enq, A: 0, B: noReg, Dst: noReg, K: ir.I64, Q: 0, Edge: 70000},
 			halt,
-		), "edge tag 70000 outside the packed encoding"},
+		), "edge tag 70000 outside the packed encoding", true},
 		{"register count outside packing", prog(0,
 			ci(70000, 1),
 			halt,
-		), "outside the packed encoding"},
+		), "outside the packed encoding", true},
 	}
-	for _, tc := range cases {
+}
+
+// TestThreadedIneligibility covers the soundness checks that demote a
+// program to the reference step, by reason.
+func TestThreadedIneligibility(t *testing.T) {
+	for _, tc := range ineligibleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			tp := compileThreaded(tc.prog, DefaultConfig(1).Cost)
 			if tp.ok {
@@ -105,6 +115,101 @@ func TestThreadedIneligibility(t *testing.T) {
 				t.Errorf("reason = %q, want substring %q", tp.reason, tc.reason)
 			}
 		})
+	}
+}
+
+// sumLoop is an eligible program that sums the 64-element array 0 with one
+// load per iteration, so a neighbouring core interleaves with its L1
+// misses, memory-port grants and block-granular picks.
+func sumLoop(core int) *isa.Program {
+	p := prog(core,
+		isa.Instr{Op: isa.ConstI, Dst: 0, A: noReg, B: noReg, ImmI: 0},
+		isa.Instr{Op: isa.ConstI, Dst: 1, A: noReg, B: noReg, ImmI: 1},
+		isa.Instr{Op: isa.ConstI, Dst: 2, A: noReg, B: noReg, ImmI: 64},
+		isa.Instr{Op: isa.ConstF, Dst: 3, A: noReg, B: noReg, ImmF: 0},
+		isa.Instr{Op: isa.Load, Dst: 4, A: 0, B: noReg, K: ir.F64, Arr: 0}, // 4: loop head
+		isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.F64, Dst: 3, A: 3, B: 4},
+		isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.I64, Dst: 0, A: 0, B: 1},
+		isa.Instr{Op: isa.Bin, BinOp: ir.Lt, K: ir.I64, Dst: 5, A: 0, B: 2},
+		isa.Instr{Op: isa.Fjp, Dst: noReg, A: 5, B: noReg, Tgt: 10},
+		isa.Instr{Op: isa.Jp, Dst: noReg, A: noReg, B: noReg, Tgt: 4},
+		isa.Instr{Op: isa.Halt, Dst: noReg, A: noReg, B: noReg}, // 10
+	)
+	p.RegName = map[isa.Reg]string{3: "sum"}
+	return p
+}
+
+func sumMemory() *mem.Memory {
+	mm := mem.New()
+	a := make([]float64, 64)
+	for i := range a {
+		a[i] = float64(i) + 0.5
+	}
+	mm.AddF("a", a)
+	return mm
+}
+
+// TestThreadedIneligibleNextToEligible runs every runnable ineligible
+// program beside an eligible core, in both core orders, and requires the
+// threaded engine — stepping the ineligible core one reference step per
+// pick while fusing the other's blocks — to reproduce the reference Result
+// exactly.
+func TestThreadedIneligibleNextToEligible(t *testing.T) {
+	if tp := compileThreaded(sumLoop(0), DefaultConfig(2).Cost); !tp.ok {
+		t.Fatalf("sumLoop must be eligible: %s", tp.reason)
+	}
+	for _, tc := range ineligibleCases() {
+		if !tc.runs {
+			continue
+		}
+		for _, order := range []string{"ineligible-first", "eligible-first"} {
+			t.Run(tc.name+"/"+order, func(t *testing.T) {
+				progs := []*isa.Program{tc.prog, sumLoop(1)}
+				if order == "eligible-first" {
+					progs = []*isa.Program{sumLoop(0), tc.prog}
+				}
+				cfg := DefaultConfig(2) // real L1 and memory port
+				ref, _ := runOn(t, progs, sumMemory, cfg, EngineReference)
+				thr, _ := runOn(t, progs, sumMemory, cfg, EngineThreaded)
+				if !reflect.DeepEqual(thr, ref) {
+					t.Errorf("results diverge:\n  threaded  %+v\n  reference %+v", thr, ref)
+				}
+			})
+		}
+	}
+}
+
+// TestThreadedMaxStepsSmallerThanBlock: when the remaining step budget
+// cannot fit one block, the threaded engine falls back to one reference
+// step per pick, so it trips the runaway guard at the same instruction —
+// with the same machine-state dump — as the reference engine.
+func TestThreadedMaxStepsSmallerThanBlock(t *testing.T) {
+	if tp := compileThreaded(spinProg(1<<40), DefaultConfig(1).Cost); !tp.ok {
+		t.Fatalf("spinProg must be eligible: %s", tp.reason)
+	}
+	for _, progs := range [][]*isa.Program{
+		{spinProg(1 << 40)},
+		{spinProg(1 << 40), sumLoop(1)},
+	} {
+		cfg := DefaultConfig(len(progs))
+		cfg.MaxSteps = 3 // below spinProg's 6-instruction first block
+		errs := map[string]string{}
+		for _, engine := range Engines() {
+			c := cfg
+			c.Engine = engine
+			m, err := New(progs, sumMemory(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err = m.Run(); err == nil || !strings.Contains(err.Error(), "exceeded MaxSteps=3") {
+				t.Fatalf("%d cores, %s: got %v, want the MaxSteps runaway error", len(progs), engine, err)
+			}
+			errs[engine] = err.Error()
+		}
+		if errs[EngineThreaded] != errs[EngineReference] {
+			t.Errorf("%d cores: errors diverge:\n  threaded  %q\n  reference %q",
+				len(progs), errs[EngineThreaded], errs[EngineReference])
+		}
 	}
 }
 
@@ -127,7 +232,7 @@ func runOn(t *testing.T, progs []*isa.Program, build func() *mem.Memory, cfg Con
 
 // TestThreadedJrDeoptMatchesReference drives the indirect-jump guard: the
 // primary dispatches a non-canonical Jr target, which must deoptimize the
-// secondary onto the burst engine mid-run with bit-identical results.
+// secondary onto the reference step mid-run with bit-identical results.
 func TestThreadedJrDeoptMatchesReference(t *testing.T) {
 	q := QID(0, 1, ir.I64, 2)
 	ci := func(dst isa.Reg, v int64) isa.Instr {
@@ -183,7 +288,7 @@ func TestThreadedJrDeoptMatchesReference(t *testing.T) {
 // TestThreadedDeqKindDeoptMatchesReference drives the dequeue kind guard:
 // the producer enqueues a float where the consumer's static solution says
 // int. The threaded consumer must complete the dequeue with reference
-// semantics and permanently fall back to the burst engine.
+// semantics and permanently fall back to the reference step.
 func TestThreadedDeqKindDeoptMatchesReference(t *testing.T) {
 	q := QID(1, 0, ir.I64, 2)
 	halt := isa.Instr{Op: isa.Halt, Dst: noReg, A: noReg, B: noReg}

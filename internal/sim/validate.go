@@ -3,7 +3,7 @@
 // latency, enqueue/dequeue issue cost, L1 geometry and latencies — through
 // literal zero and other degenerate corners, so the configuration surface
 // needs one authoritative gate: a point either simulates correctly
-// (bit-identical across all three engines, like any other configuration) or
+// (bit-identical across both engines, like any other configuration) or
 // is rejected here with a structured diagnostic before any compile or
 // simulation work starts. It must never reach a deadlock or a panic.
 
@@ -92,8 +92,10 @@ func (c *Config) Validate() error {
 				Reason: fmt.Sprintf("must be a power of two >= 8 bytes when Cache.Lines > 0, got %d", ls)}
 		}
 	}
-	if eng := c.EngineName(); eng != EngineBurst && eng != EngineReference && eng != EngineThreaded {
-		return &ConfigError{Field: "Engine", Reason: fmt.Sprintf("unknown engine %q (have %v)", eng, Engines())}
+	switch c.Engine {
+	case "", EngineThreaded, EngineReference:
+	default:
+		return &ConfigError{Field: "Engine", Reason: fmt.Sprintf("unknown engine %q (have %v)", c.Engine, Engines())}
 	}
 	return nil
 }
