@@ -11,8 +11,8 @@
 // the service uses after compilation; it is not a substitute for the
 // pipeline's internals.
 //
-// Loops travel in their canonical JSON wire encoding (ir.MarshalLoop — the
-// same bytes the service content-addresses), everything else in gob. The
+// Loops travel in their canonical JSON wire encoding (ir.MarshalLoop, the
+// codec fgpd also accepts loops in), everything else in gob. The
 // store layers integrity checking (sha256 of the payload) on top, so this
 // codec only needs a version tag to reject incompatible snapshots.
 

@@ -80,8 +80,10 @@ func (m *Mismatch) Error() string {
 		m.Kernel, m.Cores, m.Spec, m.Norm, eng, m.Stage, m.Detail)
 }
 
-// roundTrip formats the loop, reparses the text, and compares canonical
-// wire encodings; a non-empty return describes the divergence.
+// roundTrip formats the loop and reparses the text, which must keep the
+// wire encoding and the content address (ir.Digest); the loop decoded from
+// that wire encoding must keep the address too. A non-empty return
+// describes the divergence.
 func roundTrip(l *ir.Loop) string {
 	src := frontend.Format(l)
 	l2, err := frontend.Parse([]byte(src))
@@ -98,6 +100,17 @@ func roundTrip(l *ir.Loop) string {
 	}
 	if !bytes.Equal(b1, b2) {
 		return fmt.Sprintf("round trip changed the wire encoding\nsource:\n%s\nwant %s\ngot  %s", src, b1, b2)
+	}
+	d := ir.Digest(l)
+	if ir.Digest(l2) != d {
+		return fmt.Sprintf("round trip changed the content address\nsource:\n%s", src)
+	}
+	l3, err := ir.UnmarshalLoop(b1)
+	if err != nil {
+		return fmt.Sprintf("unmarshal original: %v", err)
+	}
+	if ir.Digest(l3) != d {
+		return fmt.Sprintf("wire decoding changed the content address\nwire: %s", b1)
 	}
 	return ""
 }

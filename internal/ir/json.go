@@ -1,7 +1,9 @@
 // JSON wire format for loops. The compile-and-simulate service accepts
-// kernels over HTTP in this encoding, and the content-addressed compile
-// cache hashes it: MarshalLoop is deterministic (fixed field order, no
-// maps), so structurally identical loops produce byte-identical encodings.
+// kernels over HTTP in this encoding, and its on-disk artifact store keeps
+// loops in it. MarshalLoop is deterministic (fixed field order, no maps),
+// so structurally identical loops produce byte-identical encodings. Content
+// addresses do not hash this text: Digest (digest.go) hashes a binary form
+// of the same fields and matches exactly when these encodings do.
 //
 // The schema mirrors the IR one-to-one. Expressions are tagged unions with
 // exactly one populated field:
@@ -28,11 +30,11 @@ import (
 )
 
 // jsonF64 carries float64 values across the wire. Finite values encode as
-// plain JSON numbers (byte-identical to encoding/json's default, so content
-// addresses of pre-existing loops are unchanged); NaN and the infinities —
-// which bare JSON cannot represent — encode as the strings "nan", "inf" and
-// "-inf", matching the source-language literals. All NaN payloads collapse
-// to the quiet NaN, so loops differing only in NaN bits share an address.
+// plain JSON numbers (byte-identical to encoding/json's default); NaN and
+// the infinities — which bare JSON cannot represent — encode as the strings
+// "nan", "inf" and "-inf", matching the source-language literals. All NaN
+// payloads collapse to the quiet NaN, so loops differing only in NaN bits
+// encode identically (and Digest gives them one address).
 type jsonF64 float64
 
 func (v jsonF64) MarshalJSON() ([]byte, error) {
@@ -172,7 +174,7 @@ type jsonUn struct {
 }
 
 // MarshalLoop encodes the loop as deterministic JSON: the same loop always
-// yields the same bytes, making the encoding usable as a content-address.
+// yields the same bytes.
 func MarshalLoop(l *Loop) ([]byte, error) {
 	jl := jsonLoop{
 		Name: l.Name, Index: l.Index,

@@ -77,19 +77,8 @@ type BatchTrailer struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		s.met.errors.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {

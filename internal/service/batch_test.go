@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -205,30 +206,43 @@ func TestBatchDedupIdenticalItems(t *testing.T) {
 	}
 }
 
-// TestBatchValidation: empty batches, oversized batches, and unknown fields
-// are refused with 400 before admission.
+// TestBatchValidation: empty batches, oversized batches, unknown fields and
+// trailing data are refused with 400 before admission.
 func TestBatchValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatchItems: 2})
-	post := func(body string) int {
+	post := func(body string) (int, string) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
 	}
-	if code := post(`{"items":[]}`); code != http.StatusBadRequest {
+	if code, _ := post(`{"items":[]}`); code != http.StatusBadRequest {
 		t.Errorf("empty batch: %d, want 400", code)
 	}
-	if code := post(`{"items":[{"kernel":"sphot-1"},{"kernel":"sphot-1"},{"kernel":"sphot-1"}]}`); code != http.StatusBadRequest {
+	if code, _ := post(`{"items":[{"kernel":"sphot-1"},{"kernel":"sphot-1"},{"kernel":"sphot-1"}]}`); code != http.StatusBadRequest {
 		t.Errorf("over-limit batch: %d, want 400", code)
 	}
-	if code := post(`{"items":[{"kernel":"sphot-1"}],"bogus":1}`); code != http.StatusBadRequest {
+	if code, _ := post(`{"items":[{"kernel":"sphot-1"}],"bogus":1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: %d, want 400", code)
 	}
-	if code := post(`{not json`); code != http.StatusBadRequest {
+	if code, _ := post(`{not json`); code != http.StatusBadRequest {
 		t.Errorf("malformed body: %d, want 400", code)
+	}
+	for _, body := range []string{
+		`{"items":[{"kernel":"umt2k-6","cores":2}]}garbage`,
+		`{"items":[{"kernel":"umt2k-6","cores":2}]} {"items":[{"kernel":"nope"}]}`,
+	} {
+		if code, data := post(body); code != http.StatusBadRequest ||
+			!strings.Contains(data, "trailing data after request object") {
+			t.Errorf("%s: %d %s, want 400 naming the trailing data", body, code, data)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // The compile cache: compiled artifacts and sequential baselines are
-// content-addressed by sha256 of the kernel's canonical JSON encoding plus
-// the pipeline configuration, with singleflight de-duplication so N
+// content-addressed by sha256 of the pipeline configuration plus the
+// kernel's ir.Digest, with singleflight de-duplication so N
 // concurrent requests for one (kernel, pipeline) pair compile it once and
 // share the artifact. Artifacts are immutable after compilation (every
 // simulation builds a fresh memory image), so sharing is safe.
@@ -47,16 +47,18 @@ const (
 	serverSearchBudget = 48
 )
 
-// contentAddress hashes the canonical loop bytes together with the pipeline
-// configuration. Loops that print differently but encode identically are
-// the same kernel; loops authored identically always encode identically
-// (MarshalLoop is canonical — pinned by the codec round-trip tests).
-func contentAddress(loopBytes []byte, pk pipelineKey) string {
+// contentAddress hashes a key — an artifact's pipelineKey, a surface's
+// grid — together with the loop's digest: sha256(JSON key ‖ 0 ‖
+// ir.Digest). Loops that print differently but share a wire encoding are
+// the same kernel, because ir.Digest matches exactly when ir.MarshalLoop
+// does, so a source submission and its equivalent inline IR share one
+// address.
+func contentAddress(digest [32]byte, key any) string {
 	h := sha256.New()
-	cfg, _ := json.Marshal(pk) // fixed struct, cannot fail
-	h.Write(cfg)
+	k, _ := json.Marshal(key) // fixed structs, cannot fail
+	h.Write(k)
 	h.Write([]byte{0})
-	h.Write(loopBytes)
+	h.Write(digest[:])
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -5,7 +5,7 @@
 //
 // A swept surface is expensive (a budgeted grid of full compile-and-
 // simulate runs), so it is content-addressed like an artifact: sha256 over
-// the normalized grid, the partitioner, and the canonical loop bytes, then
+// the normalized grid, the partitioner, and the loop's ir.Digest, then
 // cached through the same two tiers — the in-memory singleflight cache,
 // with the on-disk store underneath ("srf" kind). Repeating a query, or
 // asking a different question of the same surface (another target_speedup),
@@ -16,10 +16,7 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -88,17 +85,12 @@ type FrontierMiss struct {
 // normalized before hashing, so two spellings of one sweep — axes listed
 // or defaulted — share an address; the version tag isolates the encoding
 // from future surface-shape changes.
-func surfaceAddress(loopBytes []byte, partitioner string, g machspace.Grid) string {
-	h := sha256.New()
-	key, _ := json.Marshal(struct {
+func surfaceAddress(digest [32]byte, partitioner string, g machspace.Grid) string {
+	return contentAddress(digest, struct {
 		V           string         `json:"v"`
 		Partitioner string         `json:"partitioner"`
 		Grid        machspace.Grid `json:"grid"`
-	}{"frontier1", partitioner, g}) // fixed struct, cannot fail
-	h.Write(key)
-	h.Write([]byte{0})
-	h.Write(loopBytes)
-	return hex.EncodeToString(h.Sum(nil))
+	}{"frontier1", partitioner, g})
 }
 
 // encodeSurface / decodeSurface carry a swept surface through the on-disk
@@ -142,19 +134,8 @@ func (s *Server) handleFrontierGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFrontierPost(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req FrontierRequest
-	if err := dec.Decode(&req); err != nil {
-		s.met.errors.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	s.serveFrontier(w, r, &req)
@@ -202,13 +183,7 @@ func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *Fron
 		return
 	}
 
-	loopBytes, err := ir.MarshalLoop(loop)
-	if err != nil {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusInternalServerError, "canonicalizing ir: "+err.Error())
-		return
-	}
-	addr := surfaceAddress(loopBytes, partitioner, grid)
+	addr := surfaceAddress(ir.Digest(loop), partitioner, grid)
 
 	s.admit(w, r, time.Duration(req.TimeoutMs)*time.Millisecond, func(ctx context.Context) {
 		// The sweep fill runs detached, bounded by the server budget: other

@@ -126,6 +126,8 @@ func TestFrontierValidation(t *testing.T) {
 		{`{"kernel":"sphot-1","partitioner":"annealing"}`, 400, "partitioner"},
 		{`{"kernel":"no-such-kernel"}`, 404, "unknown kernel"},
 		{`{}`, 400, "exactly one"},
+		{`{"kernel":"sphot-1"}garbage`, 400, "trailing data after request object"},
+		{`{"kernel":"sphot-1"} {"kernel":"nope"}`, 400, "trailing data after request object"},
 	}
 	for _, c := range cases {
 		code, _, data := postFrontier(t, ts, c.body)

@@ -89,7 +89,7 @@ type RunResponse struct {
 	// the content-addressed cache (the simulation always runs fresh).
 	CachedArtifact bool `json:"cached_artifact"`
 	// ArtifactAddress is the artifact's canonical content address (sha256
-	// over the pipeline configuration and the canonical loop bytes).
+	// over the pipeline configuration and the loop's ir.Digest).
 	// Requests that spell the same machine differently — e.g. omitting
 	// transfer_latency versus sending the paper-default 5 — share one
 	// address; a genuinely different machine (transfer_latency 0) gets its
@@ -103,19 +103,8 @@ type RunResponse struct {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		s.met.errors.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	if ae := s.checkEngine(req.Engine); ae != nil {
@@ -278,11 +267,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		return fail(http.StatusBadRequest, fmt.Sprintf("partitioner must be one of %v", core.Partitioners()))
 	}
 
-	loopBytes, err := ir.MarshalLoop(loop)
-	if err != nil {
-		return fail(http.StatusInternalServerError, "canonicalizing ir: "+err.Error())
-	}
-
+	digest := ir.Digest(loop)
 	pk := pipelineKey{
 		Cores:           cores,
 		QueueLen:        queueLen,
@@ -304,7 +289,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	compileStart := time.Now()
 
 	// Sequential baseline, cached per kernel (configuration-independent).
-	seqAddr := contentAddress(loopBytes, pipelineKey{Sequential: true})
+	seqAddr := contentAddress(digest, pipelineKey{Sequential: true})
 	seqVal, seqHit, err := s.cache.do(ctx, "seq:"+seqAddr, s.tieredFill("seq", seqAddr,
 		func() (any, error) {
 			fctx, cancel := fillCtx()
@@ -330,7 +315,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 
 	// The compiled artifact, content-addressed and singleflighted through
 	// the memory tier, with the on-disk store underneath.
-	artAddr := contentAddress(loopBytes, pk)
+	artAddr := contentAddress(digest, pk)
 	artVal, hit, err := s.cache.do(ctx, "art:"+artAddr, s.tieredFill("art", artAddr,
 		func() (any, error) {
 			fctx, cancel := fillCtx()

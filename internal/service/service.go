@@ -9,7 +9,7 @@
 // Three production concerns shape the package:
 //
 //   - Caching: compiled artifacts are content-addressed by the hash of the
-//     kernel's canonical JSON encoding plus the pipeline configuration, with
+//     pipeline configuration plus the kernel's ir.Digest, with
 //     singleflight de-duplication (the pattern of internal/experiments'
 //     Runner), so serving many simulation configurations of one kernel
 //     compiles it once.
@@ -35,7 +35,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -363,4 +365,32 @@ type errorBody struct {
 
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
+}
+
+// decodeRequest reads one JSON request object from the body into v: at
+// most Config.MaxBodyBytes, no unknown fields, and nothing but whitespace
+// after the object. On failure it counts the error, answers 413 or 400,
+// and returns false.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	decoded := err == nil
+	if decoded {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+	}
+	s.met.errors.Add(1)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+	case decoded:
+		httpError(w, http.StatusBadRequest, "trailing data after request object")
+	default:
+		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	}
+	return false
 }

@@ -212,6 +212,10 @@ func TestRunValidation(t *testing.T) {
 		{"unknown engine", `{"kernel":"irs-1","engine":"bogus"}`, 400, `unknown engine "bogus" (have [threaded reference])`},
 		{"deleted burst engine", `{"kernel":"irs-1","engine":"burst"}`, 400, `unknown engine "burst"`},
 		{"legacy reference field", `{"kernel":"irs-1","reference":true}`, 400, "unknown field"},
+		{"trailing garbage", `{"kernel":"umt2k-6","cores":2}garbage`, 400, "trailing data after request object"},
+		{"second object", `{"kernel":"umt2k-6","cores":2} {"kernel":"nope"}`, 400, "trailing data after request object"},
+		{"trailing brace", `{"kernel":"umt2k-6","cores":2}}`, 400, "trailing data after request object"},
+		{"trailing whitespace", "{\"kernel\":\"umt2k-6\",\"cores\":2}\n\t ", 200, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -61,7 +61,7 @@ func Validate(l *Loop) error { return ir.Validate(l) }
 func Print(l *Loop) string { return ir.Print(l) }
 
 // MarshalLoop encodes a loop as deterministic JSON — the wire format the
-// fgpd service accepts and the bytes its compile cache content-addresses.
+// fgpd service accepts and its artifact store keeps.
 func MarshalLoop(l *Loop) ([]byte, error) { return ir.MarshalLoop(l) }
 
 // UnmarshalLoop decodes and validates a loop from its JSON encoding.
