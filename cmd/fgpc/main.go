@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"fgp/internal/core"
@@ -31,6 +32,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// dumpStages lists the stages -dump accepts.
+var dumpStages = []string{"ir", "tac", "fibers", "parts", "report", "asm"}
+
 // run is main with its environment made explicit, so tests can pin the
 // output of whole invocations against golden files.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -40,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	source := fs.String("source", "", "compile an fgp source file instead of a built-in kernel")
 	irPath := fs.String("ir", "", "compile a loop in the IR JSON wire encoding from this file")
 	cores := fs.Int("cores", 4, "number of cores to partition for")
-	dump := fs.String("dump", "report", "comma-separated dumps: ir, tac, fibers, parts, report, asm")
+	dump := fs.String("dump", "report", "comma-separated dumps: "+strings.Join(dumpStages, ", "))
 	emit := fs.String("emit", "", "emit the kernel instead of compiling it: source (fgp source text)")
 	spec := fs.Bool("speculate", false, "enable control-flow speculation")
 	throughput := fs.Bool("throughput", false, "enable the DAG merge heuristic")
@@ -52,9 +56,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "fgpc: "+format+"\n", args...)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fgpc:", err)
 		return 1
+	}
+	if !slices.Contains(core.Partitioners(), *partitioner) {
+		return usage("unknown partitioner %q (have %v)", *partitioner, core.Partitioners())
+	}
+	wants := map[string]bool{}
+	for _, d := range strings.Split(*dump, ",") {
+		d = strings.TrimSpace(d)
+		if !slices.Contains(dumpStages, d) {
+			return usage("unknown dump %q (have %s)", d, strings.Join(dumpStages, ", "))
+		}
+		wants[d] = true
 	}
 
 	if *list {
@@ -94,10 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	wants := map[string]bool{}
-	for _, d := range strings.Split(*dump, ",") {
-		wants[strings.TrimSpace(d)] = true
-	}
 	if wants["ir"] {
 		fmt.Fprintln(stdout, ir.Print(a.Loop))
 	}

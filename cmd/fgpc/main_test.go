@@ -69,6 +69,26 @@ func TestBadInvocations(t *testing.T) {
 	if code := run([]string{"-kernel", "nope-1"}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
+
+	// Unknown names are usage errors, caught before the kernel is loaded
+	// (nope-1 would fail with exit 1) and listing the accepted values.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kernel", "nope-1", "-dump", "bogus"}, `unknown dump "bogus" (have ir, tac, fibers, parts, report, asm)`},
+		{[]string{"-kernel", "nope-1", "-dump", "report,bogus"}, `unknown dump "bogus"`},
+		{[]string{"-kernel", "nope-1", "-partitioner", "bogus"}, `unknown partitioner "bogus" (have [heuristic search])`},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := run(c.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", c.args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), c.want) || out.Len() != 0 {
+			t.Errorf("%v: stderr %q, stdout %q; want %q on stderr only", c.args, errb.String(), out.String(), c.want)
+		}
+	}
 }
 
 // TestDumpStagesRun sanity-checks every dump stage produces output (content

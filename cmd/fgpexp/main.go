@@ -254,6 +254,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *engine != "" && !slices.Contains(sim.Engines(), *engine) {
 		return usage("unknown engine %q (have %v)", *engine, sim.Engines())
 	}
+	if !slices.Contains(strings.Split(obs.TraceFormats, ", "), *traceFormat) {
+		return usage("unknown trace format %q (have %s)", *traceFormat, obs.TraceFormats)
+	}
 	var err error
 	if latencies, err = parseInt64s(*lats); err != nil {
 		return usage("-lat: %v", err)

@@ -24,6 +24,8 @@ func TestRunBadInvocations(t *testing.T) {
 			[]string{"flag provided but not defined: -reference"}},
 		{"bad latency list", []string{"-exp", "fig13", "-lat", "5,x"},
 			[]string{"-lat", `"5,x"`}},
+		{"unknown trace format", []string{"-exp", "attribution", "-trace-format", "bogus"},
+			[]string{`unknown trace format "bogus" (have text, perfetto, report)`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 
 	"fgp/internal/core"
 	"fgp/internal/frontend"
@@ -59,9 +60,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *engine != "" && !slices.Contains(sim.Engines(), *engine) {
-		fmt.Fprintf(stderr, "fgprun: unknown engine %q (have %v)\n", *engine, sim.Engines())
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "fgprun: "+format+"\n", args...)
 		return 2
+	}
+	if *engine != "" && !slices.Contains(sim.Engines(), *engine) {
+		return usage("unknown engine %q (have %v)", *engine, sim.Engines())
+	}
+	if !slices.Contains(core.Partitioners(), *partitioner) {
+		return usage("unknown partitioner %q (have %v)", *partitioner, core.Partitioners())
+	}
+	if !slices.Contains(strings.Split(obs.TraceFormats, ", "), *traceFormat) {
+		return usage("unknown trace format %q (have %s)", *traceFormat, obs.TraceFormats)
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fgprun:", err)

@@ -69,6 +69,10 @@ func TestRunBadInvocations(t *testing.T) {
 		// nothing is compiled for a typo.
 		{"unknown engine", []string{"-kernel", "nope-1", "-engine", "burst"},
 			`unknown engine "burst" (have [threaded reference])`, 2},
+		{"unknown partitioner", []string{"-kernel", "nope-1", "-partitioner", "bogus"},
+			`unknown partitioner "bogus" (have [heuristic search])`, 2},
+		{"unknown trace format", []string{"-kernel", "nope-1", "-trace-format", "bogus"},
+			`unknown trace format "bogus" (have text, perfetto, report)`, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,0 +1,214 @@
+package core
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"fgp/internal/artcache"
+	"fgp/internal/kernels"
+	"fgp/internal/obs"
+	"fgp/internal/sim"
+)
+
+// How CanonicalOptions treats a field.
+type addressClass int
+
+const (
+	hashed     addressClass = iota // always part of the address
+	searchOnly                     // part of the address only under PartitionerSearch
+	runOnly                        // never: host time or a run-time choice only
+	derived                        // never: computed from other fields
+)
+
+// The address policy, field by field. A field missing here fails
+// TestCanonicalOptionsClassifyEveryField: whoever adds it decides whether it
+// can change a compiled artifact, and CanonicalOptions must agree.
+var (
+	optionFields = map[string]addressClass{
+		"Cores":         hashed,
+		"Weights":       hashed,
+		"Throughput":    hashed,
+		"MultiPair":     hashed,
+		"Speculate":     hashed,
+		"NormalizeOps":  hashed,
+		"Schedule":      hashed,
+		"UseProfile":    hashed,
+		"Profile":       derived,
+		"Machine":       hashed,
+		"Partitioner":   hashed,
+		"SearchSeed":    searchOnly,
+		"SearchBudget":  searchOnly,
+		"SearchWorkers": runOnly,
+	}
+	machineFields = map[string]addressClass{
+		"Cores":           hashed,
+		"QueueLen":        hashed,
+		"TransferLatency": searchOnly,
+		"Cost":            hashed,
+		"Cache":           hashed,
+		"DebugEdges":      runOnly,
+		"CollectProfile":  derived,
+		"GroupSize":       hashed,
+		"MemPortCycles":   hashed,
+		"MaxSteps":        hashed,
+		"Trace":           runOnly,
+		"Sink":            runOnly,
+		"Engine":          runOnly,
+	}
+)
+
+// perturb sets v to a different value of its type.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Struct:
+		perturb(t, v.Field(0))
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		m.SetMapIndex(reflect.Zero(v.Type().Key()), reflect.Zero(v.Type().Elem()))
+		v.Set(m)
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		p.Elem().Set(v.Elem())
+		perturb(t, p.Elem())
+		v.Set(p)
+	case reflect.Interface:
+		samples := []any{obs.NewRecorder(), &bytes.Buffer{}}
+		for _, s := range samples {
+			if reflect.TypeOf(s).Implements(v.Type()) {
+				v.Set(reflect.ValueOf(s))
+				return
+			}
+		}
+		t.Fatalf("no sample value implements %s", v.Type())
+	default:
+		t.Fatalf("cannot perturb a %s", v.Type())
+	}
+}
+
+// TestCanonicalOptionsClassifyEveryField pins the address policy: every
+// field of Options and sim.Config is classified, and perturbing it moves
+// the address exactly when its class says it should.
+func TestCanonicalOptionsClassifyEveryField(t *testing.T) {
+	var digest [32]byte
+	addr := func(o Options) string { return artcache.Address(digest, CanonicalOptions(o)) }
+	base := func(partitioner string) Options {
+		o := DefaultOptions(4)
+		o.Partitioner = partitioner
+		mc := sim.DefaultConfig(4)
+		o.Machine = &mc
+		return o
+	}
+	check := func(field string, class addressClass, ok bool, field0 func(*Options) reflect.Value) {
+		if !ok {
+			t.Errorf("%s is not classified: decide whether it can change a compiled artifact, "+
+				"make CanonicalOptions keep or drop it, and list it here", field)
+			return
+		}
+		for _, p := range []string{PartitionerHeuristic, PartitionerSearch} {
+			o := base(p)
+			perturb(t, field0(&o))
+			moved := addr(o) != addr(base(p))
+			want := class == hashed || class == searchOnly && p == PartitionerSearch
+			if moved != want {
+				t.Errorf("%s under %s: address moved=%v, want %v", field, p, moved, want)
+			}
+		}
+	}
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		name := ot.Field(i).Name
+		class, ok := optionFields[name]
+		check("Options."+name, class, ok, func(o *Options) reflect.Value { return reflect.ValueOf(o).Elem().Field(i) })
+	}
+	mt := reflect.TypeOf(sim.Config{})
+	for i := 0; i < mt.NumField(); i++ {
+		name := mt.Field(i).Name
+		class, ok := machineFields[name]
+		check("sim.Config."+name, class, ok, func(o *Options) reflect.Value { return reflect.ValueOf(o.Machine).Elem().Field(i) })
+	}
+}
+
+// TestCanonicalOptionsSpellings: the spellings of one compile that callers
+// actually send share a canonical form.
+func TestCanonicalOptionsSpellings(t *testing.T) {
+	want := CanonicalOptions(DefaultOptions(4))
+	same := []func(*Options){
+		func(o *Options) { o.Partitioner = PartitionerHeuristic },
+		func(o *Options) { mc := sim.DefaultConfig(4); o.Machine = &mc },
+		func(o *Options) { mc := sim.DefaultConfig(2); o.Machine = &mc }, // widened to Cores
+		func(o *Options) { mc := sim.DefaultConfig(4); mc.TransferLatency = 0; o.Machine = &mc },
+		func(o *Options) { o.SearchSeed, o.SearchBudget = 1, 48 },
+	}
+	for i, f := range same {
+		o := DefaultOptions(4)
+		f(&o)
+		if got := CanonicalOptions(o); !reflect.DeepEqual(got, want) {
+			t.Errorf("spelling %d: canonical %+v, want %+v", i, got, want)
+		}
+	}
+	s := DefaultOptions(4)
+	s.Partitioner = PartitionerSearch
+	explicit := s
+	explicit.SearchBudget = 64
+	if !reflect.DeepEqual(CanonicalOptions(s), CanonicalOptions(explicit)) {
+		t.Error("search budget 0 and the default budget canonicalize differently")
+	}
+}
+
+// TestHeuristicProgramsIgnoreTransferLatency is the fact the policy rests
+// on: for every kernel at 2 and 4 cores, the heuristic partitioner emits
+// the same programs and report at any transfer latency.
+func TestHeuristicProgramsIgnoreTransferLatency(t *testing.T) {
+	for _, k := range kernels.All() {
+		for _, cores := range []int{2, 4} {
+			var first *Artifact
+			for _, lat := range []int64{0, 5, 50} {
+				opt := DefaultOptions(cores)
+				mc := sim.DefaultConfig(cores)
+				mc.TransferLatency = lat
+				opt.Machine = &mc
+				a, err := Compile(k.Build(), opt)
+				if err != nil {
+					t.Fatalf("%s/%d latency %d: %v", k.Name, cores, lat, err)
+				}
+				if first == nil {
+					first = a
+					continue
+				}
+				if !reflect.DeepEqual(a.Compiled, first.Compiled) || !reflect.DeepEqual(a.Report, first.Report) {
+					t.Errorf("%s/%d: latency %d compiled differently from latency 0", k.Name, cores, lat)
+				}
+			}
+		}
+	}
+}
+
+// TestProfileOptionsShareAcrossCores: one profile serves every core count
+// and partitioner of a variant, and the canonical machine it names has one
+// core.
+func TestProfileOptionsShareAcrossCores(t *testing.T) {
+	a, b := DefaultOptions(2), DefaultOptions(4)
+	b.Partitioner = PartitionerSearch
+	b.Throughput = true
+	if !reflect.DeepEqual(ProfileOptions(a), ProfileOptions(b)) {
+		t.Errorf("2-core and 4-core profile options differ:\n%+v\n%+v", ProfileOptions(a), ProfileOptions(b))
+	}
+	if p := ProfileOptions(a); p.Cores != 1 || p.Machine.Cores != 1 {
+		t.Errorf("profile options target %d cores on a %d-core machine, want 1/1", p.Cores, p.Machine.Cores)
+	}
+	spec := a
+	spec.Speculate = true
+	if reflect.DeepEqual(ProfileOptions(a), ProfileOptions(spec)) {
+		t.Error("speculation does not change the profile options")
+	}
+}

@@ -150,7 +150,9 @@ type Report struct {
 	SearchCycles         int64
 }
 
-// Artifact is a compiled kernel.
+// Artifact is a compiled kernel. Fn, Fibers, Deps and Parts are the
+// compiler's intermediate structures; they are nil on an Executable
+// artifact, which is all a cache keeps.
 type Artifact struct {
 	Loop     *ir.Loop // post-speculation loop actually compiled
 	Source   *ir.Loop // original loop
@@ -168,10 +170,22 @@ func Compile(l *ir.Loop, opt Options) (*Artifact, error) {
 	return CompileContext(context.Background(), l, opt)
 }
 
-// CompileContext is Compile with cooperative cancellation: the profiling
-// simulation (the only unbounded-cost stage of the pipeline) aborts within
-// one cancellation stride when ctx is cancelled, returning ctx.Err().
-func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, error) {
+// analysis is what the front half of the pipeline hands the back half:
+// the validated machine, the loop before and after the pre-lowering
+// transformations, and its TAC, fibers and dependences.
+type analysis struct {
+	mc     sim.Config
+	src, l *ir.Loop
+	spec   speculate.Result
+	fn     *tac.Fn
+	set    *fiber.Set
+	info   *deps.Info
+}
+
+// analyze is the front half shared by CompileContext and ComputeProfile:
+// it rejects bad options and an unusable machine, then normalizes,
+// speculates, lowers, partitions into fibers and analyses dependences.
+func analyze(l *ir.Loop, opt Options) (*analysis, error) {
 	if opt.Cores < 1 {
 		return nil, fmt.Errorf("core: cores must be >= 1")
 	}
@@ -180,16 +194,7 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 	default:
 		return nil, fmt.Errorf("core: unknown partitioner %q (have %v)", opt.Partitioner, Partitioners())
 	}
-	if (opt.Weights == codegraph.Weights{}) {
-		opt.Weights = codegraph.DefaultWeights()
-	}
-	mc := sim.DefaultConfig(opt.Cores)
-	if opt.Machine != nil {
-		mc = *opt.Machine
-		if mc.Cores < opt.Cores {
-			mc.Cores = opt.Cores
-		}
-	}
+	mc := machineFor(opt)
 	// Reject an unusable machine before any pipeline work: degenerate sweep
 	// points (see internal/machspace) must fail with the structured
 	// *sim.ConfigError here, never surface as a mid-compile panic or a
@@ -202,35 +207,59 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 			opt.Cores, mc.GroupSize)
 	}
 
-	src := l
+	a := &analysis{mc: mc, src: l}
 	if opt.NormalizeOps > 0 {
-		var normRes normalize.Result
-		l, normRes = normalize.Apply(l, opt.NormalizeOps)
-		_ = normRes
+		l, _ = normalize.Apply(l, opt.NormalizeOps)
 		if err := ir.Validate(l); err != nil {
 			return nil, fmt.Errorf("core: normalization produced invalid IR: %w", err)
 		}
 	}
-	var specRes speculate.Result
 	if opt.Speculate {
-		l, specRes = speculate.Apply(l)
+		l, a.spec = speculate.Apply(l)
 		if err := ir.Validate(l); err != nil {
 			return nil, fmt.Errorf("core: speculation produced invalid IR: %w", err)
 		}
 	}
+	a.l = l
 
-	fn, err := tac.Lower(l)
+	var err error
+	if a.fn, err = tac.Lower(l); err != nil {
+		return nil, err
+	}
+	if a.set, err = fiber.Partition(a.fn); err != nil {
+		return nil, err
+	}
+	if a.info, err = deps.Analyze(a.fn, a.set); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// machineFor resolves the machine a compile targets: Options.Machine, or
+// the paper default, widened to at least Options.Cores cores.
+func machineFor(opt Options) sim.Config {
+	if opt.Machine == nil {
+		return sim.DefaultConfig(opt.Cores)
+	}
+	mc := *opt.Machine
+	if mc.Cores < opt.Cores {
+		mc.Cores = opt.Cores
+	}
+	return mc
+}
+
+// CompileContext is Compile with cooperative cancellation: the profiling
+// simulation (the only unbounded-cost stage of the pipeline) aborts within
+// one cancellation stride when ctx is cancelled, returning ctx.Err().
+func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, error) {
+	f, err := analyze(l, opt)
 	if err != nil {
 		return nil, err
 	}
-	set, err := fiber.Partition(fn)
-	if err != nil {
-		return nil, err
+	if (opt.Weights == codegraph.Weights{}) {
+		opt.Weights = codegraph.DefaultWeights()
 	}
-	info, err := deps.Analyze(fn, set)
-	if err != nil {
-		return nil, err
-	}
+	mc, src, l, fn, set, info := f.mc, f.src, f.l, f.fn, f.set, f.info
 
 	var prof profile.Profile
 	if opt.UseProfile {
@@ -297,15 +326,14 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 	// Build the threaded engine's basic-block translation now, from the
 	// programs static verification just accepted. The translation cache is
 	// content-addressed, so every later simulation of this artifact — and of
-	// any identical artifact compiled elsewhere (fgpd's singleflight cache,
-	// the experiment runner) — starts warm.
+	// any identical artifact compiled elsewhere — starts warm.
 	sim.PrecompileThreaded(compiled.Programs, mc.Cost)
 
 	a := &Artifact{
 		Loop: l, Source: src, Fn: fn, Fibers: set, Deps: info,
 		Parts: parts, Compiled: compiled, machine: mc,
 	}
-	a.Report = buildReport(l.Name, opt.Cores, set, info, parts, compiled, specRes)
+	a.Report = buildReport(l.Name, opt.Cores, set, info, parts, compiled, f.spec)
 	a.Report.Partitioner = PartitionerHeuristic
 	if opt.Partitioner == PartitionerSearch {
 		a.Report.Partitioner = PartitionerSearch
@@ -473,38 +501,22 @@ func crossCheckPartitions(ctx context.Context, l *ir.Loop, seed, best *codegraph
 	return nil
 }
 
-// ComputeProfile runs the front of the pipeline (normalization,
-// speculation, lowering, fiber partitioning, dependence analysis) and the
-// sequential profiling simulation, returning the profile feedback Compile
-// would measure for these options. The result is independent of
-// Options.Cores (the profiling machine always has one core), so callers
-// compiling one loop variant at several core counts can measure the profile
-// once and pass it to each compilation via Options.Profile — bit-identical
-// to letting every Compile run its own profiling simulation.
-func ComputeProfile(l *ir.Loop, opt Options) (profile.Profile, error) {
-	mc := sim.DefaultConfig(1)
-	if opt.Machine != nil {
-		mc = *opt.Machine
-	}
-	if opt.NormalizeOps > 0 {
-		l, _ = normalize.Apply(l, opt.NormalizeOps)
-	}
-	if opt.Speculate {
-		l, _ = speculate.Apply(l)
-	}
-	fn, err := tac.Lower(l)
+// ComputeProfile runs the front half of the pipeline (the same validation,
+// normalization, speculation, lowering, fiber partitioning and dependence
+// analysis CompileContext runs) and the sequential profiling simulation
+// under ctx, returning the profile feedback Compile would measure for these
+// options. The result is independent of Options.Cores (the profiling
+// machine always has one core), so callers compiling one loop variant at
+// several core counts can measure the profile once and pass it to each
+// compilation via Options.Profile — bit-identical to letting every Compile
+// run its own profiling simulation. ProfileOptions gives the options that
+// identify one measurement.
+func ComputeProfile(ctx context.Context, l *ir.Loop, opt Options) (profile.Profile, error) {
+	a, err := analyze(l, opt)
 	if err != nil {
 		return nil, err
 	}
-	set, err := fiber.Partition(fn)
-	if err != nil {
-		return nil, err
-	}
-	info, err := deps.Analyze(fn, set)
-	if err != nil {
-		return nil, err
-	}
-	return profileRun(context.Background(), fn, info, set, mc)
+	return profileRun(ctx, a.fn, a.info, a.set, a.mc)
 }
 
 // profileRun compiles the loop for one core and simulates it collecting

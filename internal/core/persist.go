@@ -6,10 +6,10 @@
 // per-core machine programs, the post-transformation loop (whose arrays
 // build the fresh memory image of every run), the compile report, and the
 // machine configuration — not the compiler's intermediate structures
-// (TAC, fibers, dependence info, partitions). A restored artifact therefore
-// supports Run/RunContext/Verify/MachineConfig/Report, which is everything
-// the service uses after compilation; it is not a substitute for the
-// pipeline's internals.
+// (TAC, fibers, dependence info, partitions). A restored artifact is
+// therefore the Executable form: it supports Run/RunContext/Verify/
+// MachineConfig/Report, which is everything a cache's consumers use after
+// compilation; it is not a substitute for the pipeline's internals.
 //
 // Loops travel in their canonical JSON wire encoding (ir.MarshalLoop, the
 // codec fgpd also accepts loops in), everything else in gob. The
@@ -47,6 +47,15 @@ type artifactWire struct {
 	StaticQueues int
 	Report       Report
 	Machine      sim.Config // Trace/Sink are zeroed: sinks never persist
+}
+
+// Executable returns the part of a that running it needs: the loop and
+// source, the machine programs, the report and the machine configuration,
+// without the compiler's intermediate structures. It is exactly what
+// UnmarshalArtifact restores, so a cache holds one artifact shape whichever
+// tier served it.
+func (a *Artifact) Executable() *Artifact {
+	return &Artifact{Loop: a.Loop, Source: a.Source, Compiled: a.Compiled, Report: a.Report, machine: a.machine}
 }
 
 // MarshalBinary serializes the artifact for the on-disk store.

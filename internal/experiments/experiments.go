@@ -7,110 +7,75 @@
 // (queue length, multi-pair merging).
 //
 // Experiments fan kernel×variant compilations and simulations out across a
-// bounded worker pool (see ParallelEach); the Runner's artifact cache is
-// sharded and deduplicates concurrent compilations of the same variant, so
-// every artifact is compiled exactly once no matter how many experiments
-// request it at the same time.
+// bounded worker pool (see ParallelEach). The Runner resolves every
+// artifact, profile and sequential baseline through one content-addressed
+// cache (internal/artcache): an entry's address is the canonical compile
+// options (core.CanonicalOptions) plus the kernel's digest, so every
+// variant is compiled exactly once no matter how many experiments — or, in
+// fgpd, how many requests and sweeps — ask for it, and two loops that share
+// a name never share an entry.
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"hash/fnv"
-	"sync"
+	"strconv"
+	"time"
 
+	"fgp/internal/artcache"
 	"fgp/internal/core"
 	"fgp/internal/kernels"
 	"fgp/internal/profile"
 	"fgp/internal/sim"
 )
 
-// artShards bounds lock contention when many workers consult the artifact
-// cache at once. Lookups hash the kernel name, so variants of one kernel
-// share a shard but different kernels spread across all of them.
-const artShards = 16
-
-// Runner caches compiled artifacts and sequential baselines across
-// experiments so regenerating the full evaluation stays fast. It is safe
-// for concurrent use: each cache entry is filled exactly once
-// (singleflight), with concurrent requesters blocking on the first
-// compilation instead of duplicating it.
+// Runner resolves compiled artifacts, profiles and sequential baselines
+// through a content-addressed singleflight cache, so regenerating the full
+// evaluation stays fast. It is safe for concurrent use: each entry is
+// filled exactly once, with concurrent requesters blocking on the first
+// fill instead of duplicating it.
 type Runner struct {
 	workers int
 	engine  string // sim engine for every simulation; "" = the threaded default
 
-	shards [artShards]artShard
-	seqMu  sync.Mutex
-	seq    map[string]*seqEntry
-	profMu sync.Mutex
-	profs  map[profKey]*profEntry
+	cache *artcache.Cache // artifacts and sequential baselines
+	// profiles holds profile feedback: an input of artifact fills that no
+	// caller requests itself, so it stays out of the shared cache's
+	// counters and disk tier.
+	profiles *artcache.Cache
 }
 
-type artShard struct {
-	mu sync.Mutex
-	m  map[artKey]*artEntry
-}
-
-// artEntry is a singleflight cell: the first goroutine to reach it compiles
-// the artifact inside once.Do while later arrivals block until it is done.
-type artEntry struct {
-	once sync.Once
-	a    *core.Artifact
-	err  error
-}
-
-type seqEntry struct {
-	once sync.Once
-	cy   int64
-	err  error
-}
-
-// profKey identifies a profiling measurement: everything that can change
-// the profiled load latencies — the pre-lowering IR transformations and any
-// machine override — but not the target core count (the profiling machine
-// always has one core), so 2- and 4-core compilations of one variant share
-// a single profiling simulation.
-type profKey struct {
-	kernel    string
-	speculate bool
-	normalize int
-	queueLen  int
-}
-
-type profEntry struct {
-	once sync.Once
-	p    profile.Profile
-	err  error
-}
-
-type artKey struct {
-	kernel       string
-	cores        int
-	speculate    bool
-	throughput   bool
-	multiPair    bool
-	schedule     bool
-	queueLen     int
-	normalize    int
-	partitioner  string
-	searchBudget int
-	searchSeed   int64
-}
-
-func (k artKey) shard() int {
-	h := fnv.New32a()
-	h.Write([]byte(k.kernel))
-	return int(h.Sum32() % artShards)
-}
-
-// NewRunner returns an empty cache. By default experiments use one worker
-// per available CPU; see SetWorkers.
-func NewRunner() *Runner {
-	r := &Runner{seq: map[string]*seqEntry{}, profs: map[profKey]*profEntry{}}
-	for i := range r.shards {
-		r.shards[i].m = map[artKey]*artEntry{}
+// The cache entry kinds a Runner fills. Artifacts and baselines persist
+// when the cache has a disk tier; profiles stay in memory.
+var (
+	artKind = &artcache.Kind{
+		Name:   "art",
+		Encode: func(v any) ([]byte, error) { return v.(*core.Artifact).MarshalBinary() },
+		Decode: func(data []byte) (any, error) { return core.UnmarshalArtifact(data) },
 	}
-	return r
+	seqKind = &artcache.Kind{
+		Name:   "seq",
+		Encode: func(v any) ([]byte, error) { return strconv.AppendInt(nil, v.(int64), 10), nil },
+		Decode: func(data []byte) (any, error) { return strconv.ParseInt(string(data), 10, 64) },
+	}
+	profKind = &artcache.Kind{Name: "prof"}
+)
+
+// NewRunner returns a runner over an empty memory-only cache. By default
+// experiments use one worker per available CPU; see SetWorkers.
+func NewRunner() *Runner { return NewTieredRunner(nil, 0) }
+
+// NewTieredRunner returns a runner whose cache has the disk tier d (nil
+// for memory only) and bounds each fill by budget (0 for no bound). Fills
+// run detached from the requester's context; see internal/artcache.
+func NewTieredRunner(d artcache.Disk, budget time.Duration) *Runner {
+	return &Runner{cache: artcache.New(d, budget), profiles: artcache.New(nil, budget)}
 }
+
+// Cache returns the runner's artifact cache, for callers that cache work
+// derived from its artifacts (fgpd's swept surfaces) under the same tiers
+// and counters.
+func (r *Runner) Cache() *artcache.Cache { return r.cache }
 
 // SetWorkers bounds the worker pool used by the experiment sweeps: n > 0
 // uses exactly n workers (1 = fully serial), n <= 0 restores the default of
@@ -147,13 +112,14 @@ type Variant struct {
 	// Partitioner selects the partition selector ("" or "heuristic" for
 	// the paper's greedy merge, "search" for the internal/search
 	// refinement); SearchBudget and SearchSeed configure the latter and
-	// are part of the artifact cache identity.
+	// count in the artifact's address only under search.
 	Partitioner  string
 	SearchBudget int
 	SearchSeed   int64
 }
 
-func (v Variant) options() core.Options {
+// Options returns the compiler options the variant selects.
+func (v Variant) Options() core.Options {
 	opt := core.DefaultOptions(v.Cores)
 	opt.Speculate = v.Speculate
 	opt.Throughput = v.Throughput
@@ -175,100 +141,105 @@ func (v Variant) options() core.Options {
 // variant. Concurrent calls for the same variant compile it once and share
 // the result.
 func (r *Runner) Artifact(k *kernels.Kernel, v Variant) (*core.Artifact, error) {
-	key := artKey{k.Name, v.Cores, v.Speculate, v.Throughput, v.MultiPair, v.Schedule, v.QueueLen, v.NormalizeOps, v.Partitioner, v.SearchBudget, v.SearchSeed}
-	sh := &r.shards[key.shard()]
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	if !ok {
-		e = &artEntry{}
-		sh.m[key] = e
-	}
-	sh.mu.Unlock()
-	e.once.Do(func() {
-		opt := v.options()
-		if r.engine == sim.EngineReference {
-			// Route the compile-time profiling simulation through the
-			// reference engine too, so a reference runner simulates nothing
-			// on the threaded engine (the honest baseline for host-speed
-			// comparisons — the profile cache below is likewise bypassed,
-			// matching the one profiling run per compilation of the original
-			// implementation).
-			if opt.Machine == nil {
-				cfg := sim.DefaultConfig(v.Cores)
-				opt.Machine = &cfg
-			}
-			opt.Machine.Engine = sim.EngineReference
-		} else if opt.UseProfile {
-			p, err := r.profileFor(k, v)
-			if err != nil {
-				e.err = fmt.Errorf("experiments: %s (%d cores): %w", k.Name, v.Cores, err)
-				return
-			}
-			opt.Profile = p
-		}
-		a, err := core.Compile(k.Build(), opt)
+	a, _, _, err := r.ArtifactContext(context.Background(), k, v.Options())
+	return a, err
+}
+
+// ArtifactContext resolves the artifact k compiles to under opt: from
+// memory, from the disk tier, or by compiling core.CanonicalOptions(opt).
+// It returns the artifact's content address and whether an existing memory
+// entry served it. The artifact is core's Executable form, and its
+// MachineConfig is the canonical machine: callers apply run-time levers
+// such as the transfer latency themselves. A waiter whose ctx ends gives
+// up; the compile carries on for the others.
+func (r *Runner) ArtifactContext(ctx context.Context, k *kernels.Kernel, opt core.Options) (a *core.Artifact, addr string, hit bool, err error) {
+	opt = core.CanonicalOptions(opt)
+	addr = artcache.Address(k.Digest(), opt)
+	v, hit, err := r.cache.Do(ctx, artKind, addr, func(ctx context.Context) (any, error) {
+		a, err := r.compile(ctx, k, opt)
 		if err != nil {
-			e.err = fmt.Errorf("experiments: %s (%d cores): %w", k.Name, v.Cores, err)
-			return
+			return nil, fmt.Errorf("experiments: %s (%d cores): %w", k.Name, opt.Cores, err)
 		}
-		e.a = a
+		return a.Executable(), nil
 	})
-	return e.a, e.err
-}
-
-// profileFor measures (or returns the cached) profile feedback for one
-// kernel variant; all core counts of a variant share the measurement.
-func (r *Runner) profileFor(k *kernels.Kernel, v Variant) (profile.Profile, error) {
-	key := profKey{k.Name, v.Speculate, v.NormalizeOps, v.QueueLen}
-	r.profMu.Lock()
-	e, ok := r.profs[key]
-	if !ok {
-		e = &profEntry{}
-		r.profs[key] = e
+	if err != nil {
+		return nil, addr, hit, err
 	}
-	r.profMu.Unlock()
-	e.once.Do(func() {
-		opt := v.options()
-		if r.engine != "" {
-			// The profiling simulation runs on the runner's engine too, so a
-			// threaded sweep exercises the threaded engine end to end.
-			if opt.Machine == nil {
-				cfg := sim.DefaultConfig(v.Cores)
-				opt.Machine = &cfg
-			}
-			opt.Machine.Engine = r.engine
-		}
-		e.p, e.err = core.ComputeProfile(k.Build(), opt)
-	})
-	return e.p, e.err
+	return v.(*core.Artifact), addr, hit, nil
 }
 
-// SeqCycles returns the sequential baseline cycle count for a kernel,
-// compiling and simulating it at most once per runner.
+// compile runs one artifact fill. A reference runner profiles inside the
+// compile on the reference engine, so it simulates nothing on the threaded
+// engine (the honest baseline for host-speed comparisons, matching the one
+// profiling run per compilation of the original implementation); any other
+// runner shares one cached profile across the core counts of a variant.
+func (r *Runner) compile(ctx context.Context, k *kernels.Kernel, opt core.Options) (*core.Artifact, error) {
+	if r.engine == sim.EngineReference {
+		mc := *opt.Machine
+		mc.Engine = sim.EngineReference
+		opt.Machine = &mc
+	} else if opt.UseProfile {
+		p, err := r.profile(ctx, k, opt)
+		if err != nil {
+			return nil, err
+		}
+		opt.Profile = p
+	}
+	return core.CompileContext(ctx, k.Build(), opt)
+}
+
+// profile measures (or returns the cached) profile feedback a compile of k
+// under opt feeds on; see core.ProfileOptions.
+func (r *Runner) profile(ctx context.Context, k *kernels.Kernel, opt core.Options) (profile.Profile, error) {
+	popt := core.ProfileOptions(opt)
+	v, _, err := r.profiles.Do(ctx, profKind, artcache.Address(k.Digest(), popt), func(ctx context.Context) (any, error) {
+		// The profiling simulation runs on the runner's engine too, so a
+		// threaded sweep exercises the threaded engine end to end.
+		mc := *popt.Machine
+		mc.Engine = r.engine
+		popt.Machine = &mc
+		return core.ComputeProfile(ctx, k.Build(), popt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(profile.Profile), nil
+}
+
+// SeqCycles returns the sequential baseline cycle count for a kernel on the
+// paper-default machine, compiling and simulating it at most once per
+// cache.
 func (r *Runner) SeqCycles(k *kernels.Kernel) (int64, error) {
-	r.seqMu.Lock()
-	e, ok := r.seq[k.Name]
-	if !ok {
-		e = &seqEntry{}
-		r.seq[k.Name] = e
-	}
-	r.seqMu.Unlock()
-	e.once.Do(func() {
-		a, err := core.CompileSequential(k.Build())
+	cy, _, err := r.SeqCyclesContext(context.Background(), k, sim.DefaultConfig(1))
+	return cy, err
+}
+
+// SeqCyclesContext resolves the sequential baseline of k on the one-core
+// machine mc, addressed like an artifact by the canonical options of the
+// sequential compile for mc. It reports whether an existing memory entry
+// served it.
+func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim.Config) (int64, bool, error) {
+	opt := core.DefaultOptions(1)
+	opt.UseProfile = false
+	opt.Machine = &mc
+	opt = core.CanonicalOptions(opt)
+	v, hit, err := r.cache.Do(ctx, seqKind, artcache.Address(k.Digest(), opt), func(ctx context.Context) (any, error) {
+		a, err := core.CompileContext(ctx, k.Build(), opt)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		cfg := a.MachineConfig()
 		cfg.Engine = r.engine
-		res, err := a.Run(cfg)
+		res, err := a.RunContext(ctx, cfg)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.cy = res.Cycles
+		return res.Cycles, nil
 	})
-	return e.cy, e.err
+	if err != nil {
+		return 0, hit, err
+	}
+	return v.(int64), hit, nil
 }
 
 // Speedup runs a kernel variant (optionally overriding the machine config)

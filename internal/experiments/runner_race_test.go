@@ -152,3 +152,31 @@ type indexError int
 func (e indexError) Error() string { return fmt.Sprintf("item %d failed", int(e)) }
 
 func errFor(i int) error { return indexError(i) }
+
+// TestRunnerNamesDoNotAlias: the runner addresses kernels by content, so
+// two wrapped kernels that share a name but not a loop get their own
+// artifacts, baselines and cycles from one runner.
+func TestRunnerNamesDoNotAlias(t *testing.T) {
+	r := NewRunner()
+	a := kernels.Wrap("alias", kernelByName(t, "irs-1").Build)
+	b := kernels.Wrap("alias", kernelByName(t, "sphot-1").Build)
+	_, resA, artA, err := r.Speedup(a, Variant{Cores: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, resB, artB, err := r.Speedup(b, Variant{Cores: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if artA == artB {
+		t.Fatal("two loops named alike share one artifact")
+	}
+	if resA.Cycles == resB.Cycles {
+		t.Errorf("two different loops named alike ran %d cycles each", resA.Cycles)
+	}
+	seqA, _ := r.SeqCycles(a)
+	seqB, _ := r.SeqCycles(b)
+	if seqA == seqB {
+		t.Errorf("two different loops named alike share a %d-cycle baseline", seqA)
+	}
+}

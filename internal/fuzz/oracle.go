@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -157,7 +158,7 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 			popt := core.DefaultOptions(1)
 			popt.Speculate = spec
 			popt.NormalizeOps = norm
-			prof, perr := core.ComputeProfile(compiled, popt)
+			prof, perr := core.ComputeProfile(context.Background(), compiled, popt)
 			if perr != nil {
 				// A trapping kernel traps during profiling too — that is the
 				// expected outcome, not a mismatch; compile without profile

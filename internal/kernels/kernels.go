@@ -12,6 +12,7 @@ package kernels
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fgp/internal/ir"
 )
@@ -37,16 +38,29 @@ type Kernel struct {
 	SpeculationHelps bool
 
 	build func() *ir.Loop
+
+	digestOnce sync.Once
+	digest     [32]byte
 }
 
 // Build constructs a fresh loop (new data arrays each call).
 func (k *Kernel) Build() *ir.Loop { return k.build() }
 
+// Digest returns ir.Digest of the kernel's loop. It builds and hashes the
+// loop on first use and keeps the result on the kernel, so the caches that
+// address compiled work by it pay once per kernel, not once per lookup.
+func (k *Kernel) Digest() [32]byte {
+	k.digestOnce.Do(func() { k.digest = ir.Digest(k.build()) })
+	return k.digest
+}
+
 // Wrap builds an unregistered Kernel around a caller-supplied loop
 // builder, so engines written against the registry type — the experiment
 // runner, the machine-space sweeper — can run loops that arrive from
 // outside it (e.g. IR posted to fgpd). The kernel carries no paper
-// columns; only Name and Build are meaningful.
+// columns; only Name, Build and Digest are meaningful. Caches address a
+// kernel by its Digest, never its Name, so two wrapped kernels that share
+// a name but not a loop never alias.
 func Wrap(name string, build func() *ir.Loop) *Kernel {
 	return &Kernel{Name: name, build: build}
 }

@@ -1,16 +1,20 @@
 // The sweep engine: run every grid point of one kernel through the real
 // compile-and-simulate pipeline and collect the speedup surface.
 //
-// Compile-relevant levers (core count, queue capacity — token priming must
-// fit — and the partitioner) key the compiled artifact through the
-// experiment runner's singleflight cache, so a grid with 6 latencies and 3
-// enqueue costs per (cores, queue) cell compiles each cell once and
-// simulates 18 times. Run-only levers (transfer latency, issue costs, L1
-// geometry and latencies) are applied to the machine configuration at
-// simulation time, exactly like the paper's Fig 13 latency sweep. The
-// sequential baseline is re-measured per distinct (L1, cost-table) setting
-// — a point with a tiny L1 slows the one-core machine down too, and an
-// honest speedup divides by that machine's own baseline.
+// Artifacts and sequential baselines resolve through the experiment
+// runner's content-addressed cache (internal/artcache), addressed by the
+// canonical compile options (core.CanonicalOptions). Compile-relevant
+// levers (core count, queue capacity — token priming must fit — and the
+// partitioner) are part of an artifact's address, so a grid with 6
+// latencies and 3 enqueue costs per (cores, queue) cell compiles each cell
+// once and simulates 18 times. Run-only levers (transfer latency, issue
+// costs, L1 geometry and latencies) are applied to the machine
+// configuration at simulation time, exactly like the paper's Fig 13
+// latency sweep. The sequential baseline is a cache entry per distinct
+// one-core machine — a point with a tiny L1 slows the one-core machine
+// down too, and an honest speedup divides by that machine's own baseline.
+// Because the cache is shared, fgpd's /v1/run of a swept point, and a
+// sweep of a point already compiled, compile nothing.
 
 package machspace
 
@@ -18,11 +22,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
-	"fgp/internal/core"
 	"fgp/internal/experiments"
 	"fgp/internal/kernels"
+	"fgp/internal/sim"
 )
 
 // DefaultBudget bounds a sweep's point count when Options.Budget is 0.
@@ -113,26 +116,12 @@ func boundReject(msg string) string {
 	return fmt.Sprintf("%s... (%d bytes truncated)", msg[:maxRejectBytes], len(msg)-maxRejectBytes)
 }
 
-// seqKey identifies a sequential-baseline measurement: the levers that
-// exist on a one-core machine. Queue and transfer levers are absent by
-// construction (sequential code has no communication).
-type seqKey struct {
-	l1Lines       int
-	l1Hit, l1Miss int64
-}
-
-type seqCell struct {
-	once sync.Once
-	cy   int64
-	err  error
-}
-
 // Sweep runs the grid for one kernel and returns its surface. The grid is
 // normalized (unswept axes filled with paper defaults) and budget-checked
-// before any work; each point then compiles through r's singleflight
-// artifact cache and simulates under ctx, which cancels the sweep within
-// one cancellation stride. Same grid and options ⇒ byte-identical surface,
-// for any Workers.
+// before any work; each point then resolves its artifact and sequential
+// baseline through r's cache and simulates under ctx, which cancels the
+// sweep within one cancellation stride. Same grid and options ⇒
+// byte-identical surface, for any Workers.
 func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid, opt Options) (*Surface, error) {
 	ng, err := g.Normalize(opt.MaxCores)
 	if err != nil {
@@ -147,43 +136,6 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 	}
 	pts := ng.Points()
 	surf := &Surface{Kernel: k.Name, Grid: ng, Points: make([]PointResult, len(pts))}
-
-	// One sequential compile per sweep; one baseline simulation per
-	// distinct (L1, latency-table) cell, singleflighted so workers racing
-	// to the same cell measure it once.
-	var seqOnce sync.Once
-	var seqArt *core.Artifact
-	var seqErr error
-	var seqMu sync.Mutex
-	seqCells := map[seqKey]*seqCell{}
-	seqCycles := func(ctx context.Context, p Point) (int64, error) {
-		seqOnce.Do(func() { seqArt, seqErr = core.CompileSequential(k.Build()) })
-		if seqErr != nil {
-			return 0, seqErr
-		}
-		key := seqKey{l1Lines: p.L1Lines, l1Hit: p.L1Hit, l1Miss: p.L1Miss}
-		seqMu.Lock()
-		cell, ok := seqCells[key]
-		if !ok {
-			cell = &seqCell{}
-			seqCells[key] = cell
-		}
-		seqMu.Unlock()
-		cell.once.Do(func() {
-			cfg := seqArt.MachineConfig()
-			cfg.Cache.Lines = p.L1Lines
-			cfg.Cost.L1Hit = p.L1Hit
-			cfg.Cost.L1Miss = p.L1Miss
-			cfg.Engine = opt.Engine
-			res, err := seqArt.RunContext(ctx, cfg)
-			if err != nil {
-				cell.err = err
-				return
-			}
-			cell.cy = res.Cycles
-		})
-		return cell.cy, cell.err
-	}
 
 	err = experiments.ParallelEach(len(pts), opt.Workers, func(i int) error {
 		p := pts[i]
@@ -200,15 +152,15 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 			return ctx.Err()
 		}
 
-		// Compile-relevant levers key the artifact cache; the rest are
+		// Compile-relevant levers address the artifact; the rest are
 		// applied to the machine configuration below.
-		a, err := r.Artifact(k, experiments.Variant{
+		a, _, _, err := r.ArtifactContext(ctx, k, experiments.Variant{
 			Cores:        p.Cores,
 			QueueLen:     p.QueueLen,
 			Partitioner:  opt.Partitioner,
 			SearchSeed:   opt.SearchSeed,
 			SearchBudget: opt.SearchBudget,
-		})
+		}.Options())
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -233,7 +185,11 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 			out.Reject = boundReject(err.Error())
 			return nil
 		}
-		seq, err := seqCycles(ctx, p)
+		smc := sim.DefaultConfig(1)
+		smc.Cache.Lines = p.L1Lines
+		smc.Cost.L1Hit = p.L1Hit
+		smc.Cost.L1Miss = p.L1Miss
+		seq, _, err := r.SeqCyclesContext(ctx, k, smc)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

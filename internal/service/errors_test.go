@@ -8,7 +8,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"fgp/internal/artcache"
 	"fgp/internal/ir"
 	"fgp/internal/sim"
 	"fgp/internal/verify"
@@ -179,7 +179,7 @@ func TestFailRunMapping(t *testing.T) {
 				{Check: "deadlock", Core: 1, PC: 3, Queue: 2, Edge: 4, Msg: "stuck"}}}),
 			http.StatusUnprocessableEntity, "deadlock"},
 		{"panic boundary",
-			fmt.Errorf("compile: %w", &panicError{val: "index out of range"}),
+			fmt.Errorf("compile: %w", &artcache.PanicError{Val: "index out of range"}),
 			http.StatusBadRequest, "internal panic"},
 		{"infrastructure failure",
 			fmt.Errorf("disk on fire"),
@@ -203,31 +203,5 @@ func TestFailRunMapping(t *testing.T) {
 				t.Errorf("error text not bounded: %d bytes", len(eb.Error))
 			}
 		})
-	}
-}
-
-// TestSafeFillPanicIsContained: a panicking cache fill must neither kill
-// the goroutine nor leave the entry's done channel open (which would hang
-// every later request for the key forever). The panic converts to an
-// error, and repeat lookups return it immediately.
-func TestSafeFillPanicIsContained(t *testing.T) {
-	c := newCompileCache()
-	fills := 0
-	boom := func() (any, error) { fills++; panic("kind mismatch in emitter") }
-	for i := 0; i < 3; i++ {
-		_, _, err := c.do(t.Context(), "key", boom)
-		var pe *panicError
-		if err == nil || !strings.Contains(err.Error(), "internal panic") {
-			t.Fatalf("lookup %d: err = %v, want panic error", i, err)
-		}
-		if ok := errors.As(err, &pe); !ok || pe.val != "kind mismatch in emitter" {
-			t.Fatalf("lookup %d: panic value lost: %v", i, err)
-		}
-		if len(pe.stack) == 0 {
-			t.Error("panic stack not captured")
-		}
-	}
-	if fills != 1 {
-		t.Errorf("fill ran %d times; a deterministic panic should be cached like any error", fills)
 	}
 }

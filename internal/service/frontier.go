@@ -6,11 +6,12 @@
 // A swept surface is expensive (a budgeted grid of full compile-and-
 // simulate runs), so it is content-addressed like an artifact: sha256 over
 // the normalized grid, the partitioner, and the loop's ir.Digest, then
-// cached through the same two tiers — the in-memory singleflight cache,
-// with the on-disk store underneath ("srf" kind). Repeating a query, or
-// asking a different question of the same surface (another target_speedup),
-// costs zero compiles and zero simulations; a restarted daemon sharing the
-// store directory answers from disk.
+// cached in the server runner's cache ("srf" kind), with the on-disk store
+// underneath. Repeating a query, or asking a different question of the
+// same surface (another target_speedup), costs zero compiles and zero
+// simulations; a restarted daemon sharing the store directory answers from
+// disk. The sweep itself resolves its artifacts and baselines through that
+// same runner, so a later /v1/run of a swept point compiles nothing.
 
 package service
 
@@ -22,10 +23,8 @@ import (
 	"strconv"
 	"time"
 
+	"fgp/internal/artcache"
 	"fgp/internal/core"
-	"fgp/internal/experiments"
-	"fgp/internal/ir"
-	"fgp/internal/kernels"
 	"fgp/internal/machspace"
 )
 
@@ -86,25 +85,25 @@ type FrontierMiss struct {
 // or defaulted — share an address; the version tag isolates the encoding
 // from future surface-shape changes.
 func surfaceAddress(digest [32]byte, partitioner string, g machspace.Grid) string {
-	return contentAddress(digest, struct {
+	return artcache.Address(digest, struct {
 		V           string         `json:"v"`
 		Partitioner string         `json:"partitioner"`
 		Grid        machspace.Grid `json:"grid"`
 	}{"frontier1", partitioner, g})
 }
 
-// encodeSurface / decodeSurface carry a swept surface through the on-disk
-// store's []byte interface.
-func encodeSurface(v any) ([]byte, error) {
-	return json.Marshal(v.(*machspace.Surface))
-}
-
-func decodeSurface(data []byte) (any, error) {
-	var s machspace.Surface
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
+// surfaceKind caches swept surfaces, carried through the on-disk store as
+// JSON.
+var surfaceKind = &artcache.Kind{
+	Name:   "srf",
+	Encode: func(v any) ([]byte, error) { return json.Marshal(v.(*machspace.Surface)) },
+	Decode: func(data []byte) (any, error) {
+		var s machspace.Surface
+		if err := json.Unmarshal(data, &s); err != nil {
+			return nil, err
+		}
+		return &s, nil
+	},
 }
 
 // handleFrontierGet serves the query-parameter spelling:
@@ -144,7 +143,7 @@ func (s *Server) handleFrontierPost(w http.ResponseWriter, r *http.Request) {
 // serveFrontier validates the query, then sweeps (or re-reads) the surface
 // under admission control and renders the frontier.
 func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *FrontierRequest) {
-	loop, ae := s.resolveLoop(req.Kernel, req.IR, req.Source)
+	k, ae := s.resolveKernel(req.Kernel, req.IR, req.Source)
 	if ae != nil {
 		writeJSON(w, ae.status, ae.body)
 		return
@@ -173,52 +172,39 @@ func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *Fron
 		httpError(w, http.StatusBadRequest, "target_speedup must be >= 0")
 		return
 	}
+	if err := checkPartitioner(req.Partitioner); err != nil {
+		s.met.errors.Add(1)
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	partitioner := req.Partitioner
 	if partitioner == core.PartitionerHeuristic {
 		partitioner = "" // one content address for both spellings of the default
 	}
-	if partitioner != "" && partitioner != core.PartitionerSearch {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("partitioner must be one of %v", core.Partitioners()))
-		return
-	}
 
-	addr := surfaceAddress(ir.Digest(loop), partitioner, grid)
+	addr := surfaceAddress(k.Digest(), partitioner, grid)
 
 	s.admit(w, r, time.Duration(req.TimeoutMs)*time.Millisecond, func(ctx context.Context) {
 		// The sweep fill runs detached, bounded by the server budget: other
-		// requests may be waiting on the same surface (see execute). swept
-		// records whether this request actually paid for the sweep: a
-		// memory hit skips the fill entirely, a disk hit runs the fill but
-		// not this closure. Only this request's own closure writes it, so
-		// there is no race with concurrent fillers.
+		// requests may be waiting on the same surface. swept records
+		// whether this request actually paid for the sweep: a memory hit
+		// skips the fill entirely, a disk hit runs the fill but not this
+		// closure. Only this request's own closure writes it, so there is
+		// no race with concurrent fillers.
 		swept := false
-		val, hit, err := s.cache.do(ctx, "srf:"+addr, s.tieredFill("srf", addr,
-			func() (any, error) {
-				swept = true
-				fctx, cancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
-				defer cancel()
-				// A fresh runner per surface fill: the runner's artifact
-				// cache is keyed by kernel *name*, and posted IR loops
-				// choose their own names — sharing a runner across requests
-				// would alias them. Reuse happens one level up, at the
-				// content-addressed surface.
-				k := kernels.Wrap(loop.Name, func() *ir.Loop { return loop })
-				return machspace.Sweep(fctx, experiments.NewRunner(), k, grid, machspace.Options{
-					Workers:      1, // the request holds one worker slot
-					MaxCores:     s.cfg.MaxCores,
-					Partitioner:  partitioner,
-					SearchSeed:   serverSearchSeed,
-					SearchBudget: serverSearchBudget,
-				})
-			},
-			encodeSurface, decodeSurface))
+		val, hit, err := s.run.Cache().Do(ctx, surfaceKind, addr, func(fctx context.Context) (any, error) {
+			swept = true
+			return machspace.Sweep(fctx, s.run, k, grid, machspace.Options{
+				Workers:      1, // the request holds one worker slot
+				MaxCores:     s.cfg.MaxCores,
+				Partitioner:  partitioner,
+				SearchSeed:   serverSearchSeed,
+				SearchBudget: serverSearchBudget,
+			})
+		})
 		if err != nil {
 			s.failRun(w, "sweep", err)
 			return
-		}
-		if hit {
-			s.met.artMemHits.Add(1)
 		}
 		cached := hit || !swept // memory hit, or the disk tier served the fill
 		surf := val.(*machspace.Surface)

@@ -1,6 +1,7 @@
 // /v1/frontier conformance: inverse queries answered from the cached
 // surface with zero recompiles, structured 404 misses, bad-grid 400s,
-// zero-valued lever grids, and warm restart from the on-disk store.
+// zero-valued lever grids, warm restart from the on-disk store, and swept
+// points that /v1/run then serves without compiling.
 
 package service
 
@@ -10,8 +11,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"fgp/internal/machspace"
 )
 
 // postFrontier sends a raw /v1/frontier body and decodes the result.
@@ -217,5 +222,80 @@ func TestFrontierWarmRestartFromStore(t *testing.T) {
 	}
 	if *second.Minimal != *first.Minimal {
 		t.Errorf("inverse answer differs across restart: %+v vs %+v", second.Minimal, first.Minimal)
+	}
+}
+
+// TestSweptPointCompilesNothing: /v1/frontier sweeps resolve through the
+// same cache as /v1/run, so running any valid heuristic point of a swept
+// surface compiles nothing, hits the cached artifact, and reproduces the
+// surface's cycles — whatever its transfer latency.
+func TestSweptPointCompilesNothing(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "source", "stencil.fgp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(map[string]any{
+		"source": string(src),
+		"grid":   map[string]any{"cores": []int{2, 4}, "queue_len": []int{4, 20}, "transfer_latency": []int64{1, 5, 20}},
+	})
+	code, fr, data := postFrontier(t, ts, string(body))
+	if code != 200 {
+		t.Fatalf("sweep: %d %s", code, data)
+	}
+	// The whole surface, from the cache the sweep filled.
+	v, hit, err := s.run.Cache().Do(t.Context(), surfaceKind, fr.SurfaceAddress, nil)
+	if err != nil || !hit {
+		t.Fatalf("surface not cached: hit=%v err=%v", hit, err)
+	}
+	surf := v.(*machspace.Surface)
+
+	before := s.Snapshot().Artifacts.Compiles
+	ran := 0
+	for _, p := range surf.Points {
+		if !p.OK() {
+			continue
+		}
+		q, lat := p.Point.QueueLen, p.Point.TransferLatency
+		code, resp, errMsg := postRun(t, ts, RunRequest{Source: string(src), Cores: p.Point.Cores, QueueLen: &q, TransferLatency: &lat})
+		if code != 200 {
+			t.Fatalf("%s: %d %s", p.Point, code, errMsg)
+		}
+		if !resp.CachedArtifact {
+			t.Errorf("%s: /v1/run missed the artifact its sweep compiled", p.Point)
+		}
+		if resp.Cycles != p.Cycles || resp.SeqCycles != p.SeqCycles {
+			t.Errorf("%s: /v1/run %d/%d cycles, surface %d/%d", p.Point, resp.Cycles, resp.SeqCycles, p.Cycles, p.SeqCycles)
+		}
+		ran++
+	}
+	if ran < 6 {
+		t.Fatalf("only %d of %d swept points were valid", ran, len(surf.Points))
+	}
+	if after := s.Snapshot().Artifacts.Compiles; after != before {
+		t.Errorf("running %d swept points cost %d compiles, want 0", ran, after-before)
+	}
+}
+
+// TestAttributionAfterRunCompilesNothing: /v1/attribution resolves through
+// the server's one runner, so it reuses what /v1/run compiled.
+func TestAttributionAfterRunCompilesNothing(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, cores := range []int{1, 3} {
+		if code, _, errMsg := postRun(t, ts, RunRequest{Kernel: "sphot-1", Cores: cores}); code != 200 {
+			t.Fatalf("%d cores: %d %s", cores, code, errMsg)
+		}
+	}
+	before := s.Snapshot().Artifacts.Compiles
+	resp, err := http.Get(ts.URL + "/v1/attribution?kernel=sphot-1&cores=1,3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("attribution: %d", resp.StatusCode)
+	}
+	if after := s.Snapshot().Artifacts.Compiles; after != before {
+		t.Errorf("attribution after /v1/run cost %d compiles, want 0", after-before)
 	}
 }

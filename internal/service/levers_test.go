@@ -1,8 +1,10 @@
 // Lever-presence conformance: the machine levers on /v1/run must
 // distinguish "not sent" from a literal zero. transfer_latency 0 is a real
-// machine (instant transfers) with its own content address and cycle
-// count; unset, the legacy `queue_len: 0` spelling, and an explicit paper
-// default are all one canonical address.
+// machine (instant transfers) with its own cycle count; it is applied at
+// simulation time, so it shares the heuristic artifact's address, and it
+// is part of the address only under the search partitioner. Unset, the
+// legacy `queue_len: 0` spelling, and an explicit paper default are all
+// one canonical address.
 
 package service
 
@@ -47,15 +49,21 @@ func TestZeroTransferLatencyIsARealLever(t *testing.T) {
 		t.Errorf("explicit default cycles %d != unset %d", explicitDefault.Cycles, unset.Cycles)
 	}
 
-	// transfer_latency 0 is a different machine: distinct address,
-	// strictly fewer cycles (umt2k-4 at 4 cores communicates).
+	// transfer_latency 0 is a different machine: strictly fewer cycles
+	// (umt2k-4 at 4 cores communicates), which also catches a zero decoded
+	// as absent.
 	zero := post(`{"kernel":"umt2k-4","cores":4,"transfer_latency":0}`)
-	if zero.ArtifactAddress == unset.ArtifactAddress {
-		t.Error("transfer_latency 0 shares the unset content address; zero was decoded as absent")
-	}
 	if zero.Cycles >= unset.Cycles {
 		t.Errorf("transfer_latency 0 cycles %d, want strictly fewer than default %d",
 			zero.Cycles, unset.Cycles)
+	}
+
+	// A searched partition is scored on the machine it compiles for, so
+	// under search the zero latency is part of the address.
+	searchUnset := post(`{"kernel":"umt2k-4","cores":4,"partitioner":"search"}`)
+	searchZero := post(`{"kernel":"umt2k-4","cores":4,"partitioner":"search","transfer_latency":0}`)
+	if searchZero.ArtifactAddress == searchUnset.ArtifactAddress {
+		t.Error("search with transfer_latency 0 shares the unset search address; zero was decoded as absent")
 	}
 }
 

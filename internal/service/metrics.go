@@ -57,22 +57,15 @@ type metrics struct {
 	batches  counter // /v1/batch requests admitted
 	items    counter // batch items executed (all outcomes)
 
-	// Artifact-lookup rollup across both cache tiers. One increment per
-	// artifact or sequential-baseline lookup: memory singleflight hit,
-	// disk-store hit (no recompile), or a genuine compile.
-	artMemHits  counter
-	artDiskHits counter
-	artCompiles counter
-
 	lat latencyReservoir
 }
 
 // latShards shards the reservoir's mutex; latencyWindow is the total
 // sample count quantiles are computed over (p999 needs a few thousand).
 const (
-	latShards       = 16
-	latencyWindow   = 4096
-	latShardWindow  = latencyWindow / latShards
+	latShards      = 16
+	latencyWindow  = 4096
+	latShardWindow = latencyWindow / latShards
 )
 
 type latShard struct {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"fgp/internal/artcache"
 	"fgp/internal/core"
 	"fgp/internal/experiments"
 	"fgp/internal/frontend"
@@ -88,12 +89,16 @@ type RunResponse struct {
 	// CachedArtifact reports whether the compiled artifact was served from
 	// the content-addressed cache (the simulation always runs fresh).
 	CachedArtifact bool `json:"cached_artifact"`
-	// ArtifactAddress is the artifact's canonical content address (sha256
-	// over the pipeline configuration and the loop's ir.Digest).
-	// Requests that spell the same machine differently — e.g. omitting
-	// transfer_latency versus sending the paper-default 5 — share one
-	// address; a genuinely different machine (transfer_latency 0) gets its
-	// own.
+	// ArtifactAddress is the artifact's content address: sha256 over the
+	// canonical compile options (core.CanonicalOptions) and the loop's
+	// ir.Digest — the same address /v1/frontier sweeps and
+	// /v1/attribution resolve through. Requests that spell one compile
+	// differently share it: omitting queue_len or sending the paper
+	// default, "heuristic" or no partitioner. Transfer latency is a
+	// run-time lever applied at simulation time, so heuristic requests at
+	// any transfer_latency share one address; under the search partitioner
+	// it is part of the address, because the search scores partitions on
+	// the machine it compiles for.
 	ArtifactAddress string  `json:"artifact_address"`
 	CompileMs       float64 `json:"compile_ms"`
 	SimMs           float64 `json:"sim_ms"`
@@ -151,12 +156,14 @@ func (s *Server) checkEngine(name string) *apiError {
 	return apiErrorf(http.StatusBadRequest, "unknown engine %q (have %v)", name, sim.Engines())
 }
 
-// resolveLoop resolves a request's loop selector — exactly one of a
+// resolveKernel resolves a request's loop selector — exactly one of a
 // built-in kernel name, wire-encoded IR, or fgp source — shared by
-// /v1/run, /v1/batch and /v1/frontier. Failures count toward the error
-// metric and carry their HTTP rendering.
-func (s *Server) resolveLoop(kernel string, irRaw json.RawMessage, source string) (*ir.Loop, *apiError) {
-	fail := func(status int, msg string) (*ir.Loop, *apiError) {
+// /v1/run, /v1/batch and /v1/frontier. A built-in name resolves to the
+// registry kernel, whose digest is computed once per process; IR and
+// source wrap the decoded loop. Failures count toward the error metric and
+// carry their HTTP rendering.
+func (s *Server) resolveKernel(kernel string, irRaw json.RawMessage, source string) (*kernels.Kernel, *apiError) {
+	fail := func(status int, msg string) (*kernels.Kernel, *apiError) {
 		s.met.errors.Add(1)
 		return nil, apiErrorf(status, "%s", msg)
 	}
@@ -175,13 +182,13 @@ func (s *Server) resolveLoop(kernel string, irRaw json.RawMessage, source string
 		if err != nil {
 			return fail(http.StatusNotFound, err.Error())
 		}
-		return k.Build(), nil
+		return k, nil
 	case len(irRaw) > 0:
 		loop, err := ir.UnmarshalLoop(irRaw)
 		if err != nil {
 			return fail(http.StatusBadRequest, "ir: "+err.Error())
 		}
-		return loop, nil
+		return wrapLoop(loop), nil
 	default:
 		loop, err := frontend.ParseWithLimits([]byte(source), sourceLimits)
 		if err != nil {
@@ -195,19 +202,41 @@ func (s *Server) resolveLoop(kernel string, irRaw json.RawMessage, source string
 			}
 			return nil, apiErrorf(http.StatusBadRequest, "%s", boundMsg("source: "+err.Error()))
 		}
-		return loop, nil
+		return wrapLoop(loop), nil
 	}
 }
 
-// execute runs one admitted request: resolve the kernel, fetch or fill the
-// cached sequential baseline and artifact (memory tier, then disk store,
-// then a real compile), simulate under the request context, and build the
-// response. It never writes to the connection.
+// wrapLoop makes a posted loop a kernel the runner can address.
+func wrapLoop(l *ir.Loop) *kernels.Kernel {
+	return kernels.Wrap(l.Name, func() *ir.Loop { return l })
+}
+
+// checkPartitioner validates a partitioner lever: "" and "heuristic" are
+// the paper's greedy merge, "search" the refinement.
+func checkPartitioner(p string) error {
+	if p != "" && p != core.PartitionerHeuristic && p != core.PartitionerSearch {
+		return fmt.Errorf("partitioner must be one of %v", core.Partitioners())
+	}
+	return nil
+}
+
+// Server-side partition-search parameters. Fixed so a searched artifact is
+// a pure function of its content address: every replica (and the on-disk
+// store) computes byte-identical partitions for the same request.
+const (
+	serverSearchSeed   = 1
+	serverSearchBudget = 48
+)
+
+// execute runs one admitted request: resolve the kernel, resolve the
+// sequential baseline and the artifact through the server's runner (memory
+// tier, then disk store, then a real compile), simulate under the request
+// context, and build the response. It never writes to the connection.
 func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunResponse, ae *apiError) {
 	// Recover boundary: compiler and simulator internals assume validated
 	// input and panic otherwise. A malformed request must cost the client a
 	// 400, never the worker goroutine (cache fills have their own boundary
-	// in safeFill; this one covers everything else in the handler).
+	// in internal/artcache; this one covers everything else in the handler).
 	defer func() {
 		if r := recover(); r != nil {
 			s.met.errors.Add(1)
@@ -220,7 +249,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		return nil, apiErrorf(status, "%s", msg)
 	}
 
-	loop, ae := s.resolveLoop(req.Kernel, req.IR, req.Source)
+	k, ae := s.resolveKernel(req.Kernel, req.IR, req.Source)
 	if ae != nil {
 		return nil, ae
 	}
@@ -233,127 +262,62 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	if cores < 1 || cores > s.cfg.MaxCores {
 		return fail(http.StatusBadRequest, fmt.Sprintf("cores must be in [1, %d]", s.cfg.MaxCores))
 	}
-	// Resolve the machine levers to their effective values. The pipeline
-	// key stores effective values, so unset, the legacy `queue_len: 0`
-	// spelling, and an explicit paper default all produce one canonical
-	// content address — while `transfer_latency: 0` is its own machine.
-	machineDefaults := sim.DefaultConfig(cores)
-	queueLen := machineDefaults.QueueLen
+	// Resolve the machine levers to their effective values: unset, the
+	// legacy `queue_len: 0` spelling, and an explicit paper default are
+	// one machine, while `transfer_latency: 0` is its own.
+	mc := sim.DefaultConfig(cores)
 	if req.QueueLen != nil {
 		q := *req.QueueLen
 		if q < 0 || q > 1<<12 {
 			return fail(http.StatusBadRequest, "queue_len must be in [1, 4096] (0 = default)")
 		}
 		if q != 0 {
-			queueLen = q
+			mc.QueueLen = q
 		}
 	}
-	transferLatency := machineDefaults.TransferLatency
 	if req.TransferLatency != nil {
 		tl := *req.TransferLatency
 		if tl < 0 || tl > 1<<20 {
 			return fail(http.StatusBadRequest, "transfer_latency must be in [0, 1048576]")
 		}
-		transferLatency = tl
+		mc.TransferLatency = tl
 	}
 	if req.NormalizeOps < 0 || req.NormalizeOps > 64 {
 		return fail(http.StatusBadRequest, "normalize_ops must be in [0, 64]")
 	}
-	partitioner := req.Partitioner
-	if partitioner == core.PartitionerHeuristic {
-		partitioner = "" // one content address for both spellings of the default
-	}
-	if partitioner != "" && partitioner != core.PartitionerSearch {
-		return fail(http.StatusBadRequest, fmt.Sprintf("partitioner must be one of %v", core.Partitioners()))
+	if err := checkPartitioner(req.Partitioner); err != nil {
+		return fail(http.StatusBadRequest, err.Error())
 	}
 
-	digest := ir.Digest(loop)
-	pk := pipelineKey{
-		Cores:           cores,
-		QueueLen:        queueLen,
-		TransferLatency: transferLatency,
-		Speculate:       req.Speculate,
-		NormalizeOps:    req.NormalizeOps,
-		Schedule:        req.Schedule,
-		Partitioner:     partitioner,
-	}
-
-	// Cache fills run on a detached context bounded by the server budget:
-	// other requests may be waiting on the same fill, so one client's
-	// disconnect must not abort (or poison) the shared compile. The
-	// per-request simulation below runs under the request context proper.
-	fillCtx := func() (context.Context, context.CancelFunc) {
-		return context.WithTimeout(context.Background(), s.cfg.Timeout)
+	opt := core.DefaultOptions(cores)
+	opt.Speculate = req.Speculate
+	opt.NormalizeOps = req.NormalizeOps
+	opt.Schedule = req.Schedule
+	opt.Machine = &mc
+	if req.Partitioner == core.PartitionerSearch {
+		// Fixed server-side search parameters: the artifact must be a pure
+		// function of its content address, so the seed and budget are not
+		// client levers.
+		opt.Partitioner = core.PartitionerSearch
+		opt.SearchSeed = serverSearchSeed
+		opt.SearchBudget = serverSearchBudget
 	}
 
 	compileStart := time.Now()
-
-	// Sequential baseline, cached per kernel (configuration-independent).
-	seqAddr := contentAddress(digest, pipelineKey{Sequential: true})
-	seqVal, seqHit, err := s.cache.do(ctx, "seq:"+seqAddr, s.tieredFill("seq", seqAddr,
-		func() (any, error) {
-			fctx, cancel := fillCtx()
-			defer cancel()
-			a, err := core.CompileSequential(loop)
-			if err != nil {
-				return nil, err
-			}
-			res, err := a.RunContext(fctx, a.MachineConfig())
-			if err != nil {
-				return nil, err
-			}
-			return res.Cycles, nil
-		},
-		encodeSeqCycles, decodeSeqCycles))
+	seqCycles, _, err := s.run.SeqCyclesContext(ctx, k, sim.DefaultConfig(1))
 	if err != nil {
 		return nil, s.runError("sequential baseline", err)
 	}
-	if seqHit {
-		s.met.artMemHits.Add(1)
-	}
-	seqCycles := seqVal.(int64)
-
-	// The compiled artifact, content-addressed and singleflighted through
-	// the memory tier, with the on-disk store underneath.
-	artAddr := contentAddress(digest, pk)
-	artVal, hit, err := s.cache.do(ctx, "art:"+artAddr, s.tieredFill("art", artAddr,
-		func() (any, error) {
-			fctx, cancel := fillCtx()
-			defer cancel()
-			opt := core.DefaultOptions(cores)
-			opt.Speculate = req.Speculate
-			opt.NormalizeOps = req.NormalizeOps
-			opt.Schedule = req.Schedule
-			if partitioner == core.PartitionerSearch {
-				// Fixed server-side search parameters: the artifact must be a
-				// pure function of its content address, so the seed and budget
-				// are not client levers.
-				opt.Partitioner = core.PartitionerSearch
-				opt.SearchSeed = serverSearchSeed
-				opt.SearchBudget = serverSearchBudget
-			}
-			// Always pin the machine: the effective levers are already
-			// resolved, and a machine at the paper defaults compiles the
-			// identical artifact a nil Machine would.
-			mc := sim.DefaultConfig(cores)
-			mc.QueueLen = queueLen
-			mc.TransferLatency = transferLatency
-			opt.Machine = &mc
-			return core.CompileContext(fctx, loop, opt)
-		},
-		encodeArtifact, decodeArtifact))
+	art, addr, hit, err := s.run.ArtifactContext(ctx, k, opt)
 	if err != nil {
 		return nil, s.runError("compile", err)
 	}
-	if hit {
-		s.met.artMemHits.Add(1)
-	}
-	art := artVal.(*core.Artifact)
 	compileMs := float64(time.Since(compileStart)) / float64(time.Millisecond)
 
 	// Simulate under the request context: a client disconnect or deadline
 	// aborts within one cancellation stride (sim.RunContext).
 	cfg := art.MachineConfig()
+	cfg.TransferLatency = mc.TransferLatency
 	cfg.Engine = req.Engine
 	var rec *obs.Recorder
 	if req.Attribution || req.Trace != "" {
@@ -368,7 +332,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	simMs := float64(time.Since(simStart)) / float64(time.Millisecond)
 
 	resp = &RunResponse{
-		Kernel:            loop.Name,
+		Kernel:            k.Name,
 		Cores:             cores,
 		Cycles:            res.Cycles,
 		SeqCycles:         seqCycles,
@@ -382,7 +346,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		LoadMisses:        res.LoadMisses,
 		MemPortBusyCycles: res.MemPortBusyCycles,
 		CachedArtifact:    hit,
-		ArtifactAddress:   artAddr,
+		ArtifactAddress:   addr,
 		CompileMs:         compileMs,
 		SimMs:             simMs,
 	}
@@ -428,7 +392,7 @@ func boundMsg(msg string) string {
 // input). Only genuine infrastructure failures remain 500.
 func (s *Server) runError(stage string, err error) *apiError {
 	var ve *verify.Error
-	var pe *panicError
+	var pe *artcache.PanicError
 	switch {
 	case errors.Is(err, context.Canceled):
 		s.met.canceled.Add(1)
@@ -507,7 +471,7 @@ func (s *Server) handleAttribution(w http.ResponseWriter, r *http.Request) {
 		coreCounts = append(coreCounts, n)
 	}
 	s.admit(w, r, 0, func(ctx context.Context) {
-		rows, err := experiments.Attribution(s.exp, name, coreCounts)
+		rows, err := experiments.Attribution(s.run, name, coreCounts)
 		if err != nil {
 			if _, nf := kernels.ByName(name); nf != nil {
 				s.met.errors.Add(1)

@@ -8,11 +8,16 @@
 //
 // Three production concerns shape the package:
 //
-//   - Caching: compiled artifacts are content-addressed by the hash of the
-//     pipeline configuration plus the kernel's ir.Digest, with
-//     singleflight de-duplication (the pattern of internal/experiments'
-//     Runner), so serving many simulation configurations of one kernel
-//     compiles it once.
+//   - Caching: one experiments.Runner resolves every artifact, profile and
+//     sequential baseline the server needs — for /v1/run, /v1/batch items,
+//     /v1/frontier sweeps and /v1/attribution alike — through one
+//     content-addressed singleflight cache (internal/artcache). An entry's
+//     address is the canonical compile options (core.CanonicalOptions)
+//     plus the loop's ir.Digest, so serving many simulation configurations
+//     of one kernel compiles it once, and a /v1/run of a point a sweep
+//     already compiled compiles nothing. Transfer latency is applied at
+//     simulation time; it is part of the address only under the search
+//     partitioner, which scores partitions on the machine it compiles for.
 //   - Admission control: a bounded worker pool executes requests, a
 //     queue-depth limit sheds load with 429 before work piles up, every
 //     request carries a deadline, and SIGTERM drains gracefully.
@@ -22,11 +27,11 @@
 //     (sim.RunContext).
 //
 // A fourth concern arrived with scale: persistence. When Config.StoreDir
-// is set, compiled artifacts and sequential baselines are written through
-// to a content-addressed on-disk store (internal/service/store) layered
-// under the in-memory singleflight cache, so a restarted daemon — or a
-// horizontal replica sharing the directory — warm-starts instead of
-// recompiling.
+// is set, compiled artifacts, sequential baselines and swept surfaces are
+// written through to a content-addressed on-disk store
+// (internal/service/store) layered under the in-memory cache, so a
+// restarted daemon — or a horizontal replica sharing the directory —
+// warm-starts instead of recompiling.
 //
 // Endpoints: POST /v1/run, POST /v1/batch, GET|POST /v1/frontier,
 // GET /v1/kernels, GET /v1/attribution, GET /healthz, GET /metrics.
@@ -44,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fgp/internal/artcache"
 	"fgp/internal/experiments"
 	"fgp/internal/frontend"
 	"fgp/internal/service/store"
@@ -115,9 +121,8 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	cache *compileCache
-	disk  *store.Store        // nil unless Config.StoreDir is set
-	exp   *experiments.Runner // backs /v1/attribution with its own artifact cache
+	run  *experiments.Runner // resolves every artifact, profile and baseline
+	disk *store.Store        // nil unless Config.StoreDir is set
 
 	sem      chan struct{} // worker slots
 	queued   atomic.Int64  // admitted, waiting for a slot
@@ -136,21 +141,20 @@ type Server struct {
 // on-disk store cannot be opened.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:   cfg,
-		cache: newCompileCache(),
-		exp:   experiments.NewRunner(),
-		sem:   make(chan struct{}, cfg.Workers),
-	}
+	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
+	var disk artcache.Disk // stays a nil interface without a store
 	if cfg.StoreDir != "" {
-		disk, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
+		d, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
 		if err != nil {
 			return nil, err
 		}
-		s.disk = disk
+		s.disk, disk = d, d
 	}
+	// Cache fills are bounded by the server budget: other requests may be
+	// waiting on a fill, so it runs detached from any one request.
+	s.run = experiments.NewTieredRunner(disk, cfg.Timeout)
 	// Attribution already holds a worker slot; don't fan out further.
-	s.exp.SetWorkers(1)
+	s.run.SetWorkers(1)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -281,9 +285,9 @@ type Metrics struct {
 		Abandoned int64   `json:"abandoned"`
 		HitRate   float64 `json:"hit_rate"`
 	} `json:"cache"`
-	// Artifacts rolls up where artifact and sequential-baseline lookups
-	// were satisfied: the in-memory singleflight tier, the on-disk store,
-	// or a genuine compile.
+	// Artifacts rolls up where artifact, sequential-baseline and surface
+	// lookups — a sweep's own lookups included — were satisfied: the
+	// in-memory singleflight tier, the on-disk store, or a genuine compile.
 	Artifacts struct {
 		MemHits  int64   `json:"mem_hits"`
 		DiskHits int64   `json:"disk_hits"`
@@ -313,16 +317,17 @@ func (s *Server) Snapshot() Metrics {
 	m.InFlight = s.inflight.Load()
 	m.Queued = s.queued.Load()
 	m.Draining = s.draining.Load()
-	m.Cache.Entries = s.cache.entries()
-	m.Cache.Hits = s.cache.hits.Load()
-	m.Cache.Misses = s.cache.misses.Load()
-	m.Cache.Abandoned = s.cache.abandoned.Load()
+	cs := s.run.Cache().Stats()
+	m.Cache.Entries = cs.Entries
+	m.Cache.Hits = cs.Hits
+	m.Cache.Misses = cs.Misses
+	m.Cache.Abandoned = cs.Abandoned
 	if total := m.Cache.Hits + m.Cache.Misses; total > 0 {
 		m.Cache.HitRate = float64(m.Cache.Hits) / float64(total)
 	}
-	m.Artifacts.MemHits = s.met.artMemHits.Load()
-	m.Artifacts.DiskHits = s.met.artDiskHits.Load()
-	m.Artifacts.Compiles = s.met.artCompiles.Load()
+	m.Artifacts.MemHits = cs.Hits
+	m.Artifacts.DiskHits = cs.DiskHits
+	m.Artifacts.Compiles = cs.Fills
 	if total := m.Artifacts.MemHits + m.Artifacts.DiskHits + m.Artifacts.Compiles; total > 0 {
 		m.Artifacts.HitRate = float64(m.Artifacts.MemHits+m.Artifacts.DiskHits) / float64(total)
 	}

@@ -2,7 +2,7 @@
 // same -store-dir serves earlier fills from disk instead of recompiling; a
 // crash mid-fill leaves nothing visible; a bit-flipped entry is detected,
 // evicted, recompiled, and overwritten — and results stay bit-identical
-// through every path.
+// through every path, with one artifact shape whichever tier served it.
 
 package service
 
@@ -11,9 +11,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"fgp/internal/core"
 	"fgp/internal/kernels"
 )
 
@@ -197,5 +199,61 @@ func TestStoreDirUnopenable(t *testing.T) {
 	}
 	if _, err := New(Config{StoreDir: filepath.Join(file, "sub")}); err == nil {
 		t.Fatal("New succeeded with an unopenable store dir")
+	}
+}
+
+// TestMemoryAndDiskHitsShareOneShape: for one address, the artifact a
+// memory hit returns and the one a disk hit restores have the same
+// non-nil fields, and they run bit-identically.
+func TestMemoryAndDiskHitsShareOneShape(t *testing.T) {
+	dir := t.TempDir()
+	k, err := kernels.ByName("lammps-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions(4)
+
+	a, err := New(Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := a.run.ArtifactContext(t.Context(), k, opt); err != nil {
+		t.Fatal(err)
+	}
+	mem, memAddr, hit, err := a.run.ArtifactContext(t.Context(), k, opt)
+	if err != nil || !hit {
+		t.Fatalf("memory lookup: hit=%v err=%v", hit, err)
+	}
+
+	b, err := New(Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, diskAddr, _, err := b.run.ArtifactContext(t.Context(), k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := b.Snapshot(); m.Artifacts.DiskHits != 1 || m.Artifacts.Compiles != 0 || diskAddr != memAddr {
+		t.Fatalf("second daemon: %d disk hits, %d compiles, address %s vs %s; want a disk hit of one address",
+			m.Artifacts.DiskHits, m.Artifacts.Compiles, diskAddr, memAddr)
+	}
+
+	mv, dv := reflect.ValueOf(mem).Elem(), reflect.ValueOf(disk).Elem()
+	for i := 0; i < mv.NumField(); i++ {
+		f := mv.Type().Field(i)
+		if f.IsExported() && f.Type.Kind() == reflect.Pointer && mv.Field(i).IsNil() != dv.Field(i).IsNil() {
+			t.Errorf("%s: memory hit nil=%v, disk hit nil=%v", f.Name, mv.Field(i).IsNil(), dv.Field(i).IsNil())
+		}
+	}
+	want, err := mem.Run(mem.MachineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := disk.Run(disk.MachineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("disk hit ran differently:\n%+v\nmemory hit:\n%+v", got, want)
 	}
 }
