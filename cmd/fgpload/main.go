@@ -94,9 +94,9 @@ type Report struct {
 	// Headlines: saturation throughput of the closed loop and the p99
 	// there, plus the open-loop p99 at roughly half of saturation (the
 	// operating point a capacity plan would pick).
-	PeakClosedRPS  float64 `json:"peak_closed_rps"`
-	P99AtPeakMs    float64 `json:"p99_at_peak_ms"`
-	OpenP99HalfMs  float64 `json:"open_p99_at_half_peak_ms"`
+	PeakClosedRPS   float64 `json:"peak_closed_rps"`
+	P99AtPeakMs     float64 `json:"p99_at_peak_ms"`
+	OpenP99HalfMs   float64 `json:"open_p99_at_half_peak_ms"`
 	OpenHalfPeakRPS float64 `json:"open_half_peak_rps"`
 }
 

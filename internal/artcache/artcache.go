@@ -5,21 +5,37 @@
 // An entry is addressed by content, never by name: Address hashes a key —
 // the canonical compile options (core.CanonicalOptions), a swept grid —
 // together with the loop's ir.Digest. Lookups are singleflight: the first
-// requester of an address runs the fill and everyone else blocks on the
-// entry (or on their own context) and shares the outcome. Values are
+// requester of an address starts the fill, and every requester blocks on
+// the entry (or on their own context) and shares the outcome. Values are
 // immutable once filled, so sharing them is safe.
 //
 // Four rules keep one requester's trouble from reaching the others:
 //
-//   - A fill runs detached from its requester's cancellation, bounded by
-//     the cache's fill budget, so a client that gives up never aborts a
-//     fill others are waiting for.
-//   - A waiter gives up when its own context ends, without disturbing the
-//     fill in progress.
+//   - A fill runs detached from its requester's cancellation, on its own
+//     goroutine and bounded by the cache's fill budget, so a client that
+//     gives up never aborts a fill others are waiting for. A caller that
+//     bounds its concurrent work can count the fills its requests started
+//     (WithFills) and hold their capacity until those fills end.
+//   - Every requester, the one that started the fill included, waits on
+//     the entry or on its own context, whichever ends first: a requester
+//     whose deadline passes gets its context error at once, without
+//     disturbing the fill in progress.
 //   - A fill that fails on its context (the budget ran out) is evicted
 //     rather than cached, so a timeout never poisons the address.
 //   - A panic inside a fill is contained: it becomes a *PanicError, which
 //     is cached like any other error (the same input panics identically).
+//
+// An attached kind (Kind.Attached) trades the first rule for promptness:
+// its fill runs under the context of the request that started it, so that
+// request's cancellation aborts it. The aborted entry is evicted, and a
+// waiter whose own context is still live retries the lookup instead of
+// inheriting the cancellation. Simulation results are attached: a run is
+// cheap next to a compile, and a client that leaves should stop paying for
+// it.
+//
+// A bounded cache (NewBounded) holds about a fixed number of entries: a
+// fill that would pass the limit first evicts an arbitrary completed entry
+// of its shard.
 //
 // An optional disk tier sits underneath: a fill first asks the disk for
 // the address, and writes what it computes through to it, so a restarted
@@ -70,11 +86,13 @@ type Disk interface {
 
 // Kind names one class of entry. The name namespaces the address, in
 // memory and on disk; Encode and Decode carry a value through the disk
-// tier, and a kind without them stays in memory.
+// tier, and a kind without them stays in memory. Attached fills run under
+// the requester's context; see the package comment.
 type Kind struct {
-	Name   string
-	Encode func(any) ([]byte, error)
-	Decode func([]byte) (any, error)
+	Name     string
+	Encode   func(any) ([]byte, error)
+	Decode   func([]byte) (any, error)
+	Attached bool
 }
 
 const shards = 16
@@ -92,16 +110,18 @@ type entry struct {
 
 // Cache is the singleflight store. Safe for concurrent use.
 type Cache struct {
-	shards [shards]shard
-	disk   Disk
-	budget time.Duration
+	shards   [shards]shard
+	disk     Disk
+	budget   time.Duration
+	perShard int // entries a shard holds before a new fill evicts one; 0 = no bound
 
 	hits, misses atomic.Int64
-	// abandoned counts waiters that gave up (context done) before the
+	// abandoned counts requesters that gave up (context done) before the
 	// in-flight fill completed; they are neither hits nor misses.
 	abandoned atomic.Int64
 	diskHits  atomic.Int64
 	fills     atomic.Int64
+	evicted   atomic.Int64
 }
 
 // New returns an empty cache over the disk tier d (nil for memory only)
@@ -114,6 +134,15 @@ func New(d Disk, budget time.Duration) *Cache {
 	return c
 }
 
+// NewBounded returns an empty memory-only cache that holds at most about
+// limit entries (limit rounded up to a multiple of the shard count), with
+// fills bounded by budget as in New.
+func NewBounded(limit int, budget time.Duration) *Cache {
+	c := New(nil, budget)
+	c.perShard = max(1, (limit+shards-1)/shards)
+	return c
+}
+
 func (c *Cache) shardOf(key string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
@@ -121,46 +150,92 @@ func (c *Cache) shardOf(key string) *shard {
 }
 
 // Do returns the value of kind at addr, running fill on first use. hit
-// reports whether an entry already existed, i.e. this request did not pay
-// for the fill itself. A waiter whose ctx ends returns its context error;
-// the fill it was waiting on carries on for the others.
+// reports whether an entry already existed, i.e. this request did not start
+// the fill itself. A requester whose ctx ends returns its context error; a
+// detached fill it was waiting on carries on for the others.
 func (c *Cache) Do(ctx context.Context, kind *Kind, addr string, fill func(context.Context) (any, error)) (val any, hit bool, err error) {
 	key := kind.Name + "-" + addr
 	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	if !ok {
-		e = &entry{done: make(chan struct{})}
-		sh.m[key] = e
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		e.val, e.err = c.resolve(ctx, kind, key, fill)
-		if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-			sh.mu.Lock()
-			if sh.m[key] == e {
-				delete(sh.m, key)
+	for {
+		sh.mu.Lock()
+		e, ok := sh.m[key]
+		if !ok {
+			if c.perShard > 0 && len(sh.m) >= c.perShard {
+				c.evictOne(sh)
 			}
+			e = &entry{done: make(chan struct{})}
+			sh.m[key] = e
+			sh.mu.Unlock()
+			if kind.Attached {
+				// On the requester's goroutine, under its context.
+				c.fill(ctx, kind, sh, key, e, fill)
+				c.misses.Add(1)
+				return e.val, false, e.err
+			}
+			f, _ := ctx.Value(fillsKey{}).(*Fills)
+			f.start()
+			go func() {
+				defer f.end()
+				c.fill(context.WithoutCancel(ctx), kind, sh, key, e, fill)
+			}()
+		} else {
 			sh.mu.Unlock()
 		}
-		close(e.done)
-		return e.val, false, e.err
-	}
-	sh.mu.Unlock()
-	select {
-	case <-e.done:
-		c.hits.Add(1)
-		return e.val, true, e.err
-	case <-ctx.Done():
-		// Not a hit: this request never saw the value. Counting it as one
-		// inflated the hit rate under cancel-heavy load.
-		c.abandoned.Add(1)
-		return nil, true, fmt.Errorf("artcache: abandoned wait for in-flight fill: %w", ctx.Err())
+		select {
+		case <-e.done:
+			if kind.Attached && ok && isContextErr(e.err) && ctx.Err() == nil {
+				continue // the filler's cancellation, not ours: look again
+			}
+			if ok {
+				c.hits.Add(1)
+			} else {
+				c.misses.Add(1)
+			}
+			return e.val, ok, e.err
+		case <-ctx.Done():
+			// Neither a hit nor a miss: this request never saw the value.
+			// Counting it as a hit inflated the hit rate under cancel-heavy
+			// load.
+			c.abandoned.Add(1)
+			return nil, ok, fmt.Errorf("artcache: abandoned wait for in-flight fill: %w", ctx.Err())
+		}
 	}
 }
 
-// resolve fills a memory miss: the disk tier first, then fill itself on a
-// context detached from the requester's and bounded by the fill budget,
-// writing the result through to disk.
+// fill resolves the new entry e under ctx and publishes the outcome,
+// evicting e first when the fill failed on its context.
+func (c *Cache) fill(ctx context.Context, kind *Kind, sh *shard, key string, e *entry, fill func(context.Context) (any, error)) {
+	e.val, e.err = c.resolve(ctx, kind, key, fill)
+	if isContextErr(e.err) {
+		sh.mu.Lock()
+		if sh.m[key] == e {
+			delete(sh.m, key)
+		}
+		sh.mu.Unlock()
+	}
+	close(e.done)
+}
+
+// evictOne deletes an arbitrary completed entry of sh, whose lock the
+// caller holds. In-flight entries stay: their requesters are waiting.
+func (c *Cache) evictOne(sh *shard) {
+	for key, e := range sh.m {
+		select {
+		case <-e.done:
+			delete(sh.m, key)
+			c.evicted.Add(1)
+			return
+		default:
+		}
+	}
+}
+
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// resolve fills a memory miss: the disk tier first, then fill itself on
+// ctx bounded by the fill budget, writing the result through to disk.
 func (c *Cache) resolve(ctx context.Context, kind *Kind, key string, fill func(context.Context) (any, error)) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -176,13 +251,12 @@ func (c *Cache) resolve(ctx context.Context, kind *Kind, key string, fill func(c
 			}
 		}
 	}
-	fctx := context.WithoutCancel(ctx)
 	if c.budget > 0 {
 		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(fctx, c.budget)
+		ctx, cancel = context.WithTimeout(ctx, c.budget)
 		defer cancel()
 	}
-	v, err := fill(fctx)
+	v, err := fill(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -200,9 +274,10 @@ type Stats struct {
 	Entries   int64 // addresses held in memory, filled or in flight
 	Hits      int64 // lookups served by an existing memory entry
 	Misses    int64 // lookups that ran a fill
-	Abandoned int64 // waiters that gave up before the fill finished
+	Abandoned int64 // requesters that gave up before the fill finished
 	DiskHits  int64 // fills the disk tier served
 	Fills     int64 // fills that computed their value successfully
+	Evicted   int64 // completed entries dropped by the bound
 }
 
 // Stats returns the current counters.
@@ -213,6 +288,7 @@ func (c *Cache) Stats() Stats {
 		Abandoned: c.abandoned.Load(),
 		DiskHits:  c.diskHits.Load(),
 		Fills:     c.fills.Load(),
+		Evicted:   c.evicted.Load(),
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -221,6 +297,46 @@ func (c *Cache) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	return s
+}
+
+// Fills counts the detached fills started under a context that carries it
+// (WithFills), nested fills included, while they run. fgpd holds a
+// request's worker slot until the fills it started end, so requests that
+// give up on their fills cannot set off more concurrent fills than it has
+// workers. The zero value is ready to use; a nil *Fills counts nothing.
+type Fills struct {
+	running atomic.Int64
+	wg      sync.WaitGroup
+}
+
+type fillsKey struct{}
+
+// WithFills returns a copy of ctx under which every detached fill Do
+// starts is counted in f.
+func WithFills(ctx context.Context, f *Fills) context.Context {
+	return context.WithValue(ctx, fillsKey{}, f)
+}
+
+// Running reports whether a fill counted in f is still running. Once it
+// is false after the last lookup under f has returned, it stays false:
+// only a running fill can start another.
+func (f *Fills) Running() bool { return f.running.Load() > 0 }
+
+// Wait blocks until no fill counted in f is running.
+func (f *Fills) Wait() { f.wg.Wait() }
+
+func (f *Fills) start() {
+	if f != nil {
+		f.running.Add(1)
+		f.wg.Add(1)
+	}
+}
+
+func (f *Fills) end() {
+	if f != nil {
+		f.running.Add(-1)
+		f.wg.Done()
+	}
 }
 
 // PanicError is a fill panic converted to an error. A panicking fill must

@@ -87,13 +87,16 @@ func TestWaiterGivesUpOnContext(t *testing.T) {
 	}
 }
 
-// TestFillDetachedFromRequester: the requester that runs a fill may go
-// away; the fill's own context is not cancelled, and its value is cached.
+// TestFillDetachedFromRequester: the requester that starts a fill may go
+// away; it gets its context error, the fill's own context is not
+// cancelled, and its value is cached.
 func TestFillDetachedFromRequester(t *testing.T) {
 	c := New(nil, time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
-	v, _, err := c.Do(ctx, memKind, "a", func(fctx context.Context) (any, error) {
+	release := make(chan struct{})
+	_, _, err := c.Do(ctx, memKind, "a", func(fctx context.Context) (any, error) {
 		cancel()
+		<-release
 		if fctx.Err() != nil {
 			return nil, fctx.Err()
 		}
@@ -102,11 +105,102 @@ func TestFillDetachedFromRequester(t *testing.T) {
 		}
 		return 1, nil
 	})
-	if err != nil || v != 1 {
-		t.Fatalf("detached fill: %v, %v", v, err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("requester that went away got %v, want context.Canceled", err)
 	}
-	if _, hit, _ := c.Do(context.Background(), memKind, "a", nil); !hit {
-		t.Error("detached fill's value was not cached")
+	close(release)
+	if v, hit, err := c.Do(context.Background(), memKind, "a", nil); err != nil || v != 1 || !hit {
+		t.Errorf("detached fill's value was not cached: %v hit=%v err=%v", v, hit, err)
+	}
+}
+
+// TestOwnerHonorsItsDeadline: the requester that starts a fill waits like
+// any other, so its own deadline ends its wait long before a slow fill
+// does. It counts as abandoned, and the fill completes for the others.
+func TestOwnerHonorsItsDeadline(t *testing.T) {
+	c := New(nil, 0)
+	release := make(chan struct{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, hit, err := c.Do(ctx, memKind, "a", func(context.Context) (any, error) {
+		<-release
+		return "v", nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || hit {
+		t.Fatalf("owner past its deadline: hit=%v err=%v, want a deadline miss", hit, err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("owner waited %v for a fill that never ended; its 10ms deadline must end the wait", d)
+	}
+	if s := c.Stats(); s.Abandoned != 1 || s.Misses != 0 || s.Hits != 0 || s.Entries != 1 {
+		t.Errorf("stats %+v, want 1 abandoned and the fill still in flight", s)
+	}
+	close(release)
+	if v, hit, err := c.Do(context.Background(), memKind, "a", nil); err != nil || v != "v" || !hit {
+		t.Errorf("fill did not complete for later requesters: %v hit=%v err=%v", v, hit, err)
+	}
+}
+
+var attachedKind = &Kind{Name: "run", Attached: true}
+
+// TestAttachedFillAbortsWithRequester: an attached fill runs under the
+// context of the request that started it, so that request's cancellation
+// aborts it and leaves no entry behind; a waiter whose own context is
+// still live retries and gets the value.
+func TestAttachedFillAbortsWithRequester(t *testing.T) {
+	c := New(nil, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	var fills atomic.Int64
+	fill := func(fctx context.Context) (any, error) {
+		if fills.Add(1) == 1 {
+			close(started)
+			<-fctx.Done()
+			return nil, fctx.Err()
+		}
+		return "v", nil
+	}
+	owner := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, attachedKind, "a", fill)
+		owner <- err
+	}()
+	<-started
+	waiter := make(chan any, 1)
+	go func() {
+		v, _, err := c.Do(context.Background(), attachedKind, "a", fill)
+		if err != nil {
+			t.Errorf("live waiter inherited the owner's cancellation: %v", err)
+		}
+		waiter <- v
+	}()
+	// Give the waiter time to block on the entry. Should it arrive after
+	// the eviction instead, it fills afresh, and the checks below hold
+	// either way.
+	time.Sleep(10 * time.Millisecond)
+	cancel()
+	if err := <-owner; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled owner got %v, want context.Canceled", err)
+	}
+	if v := <-waiter; v != "v" {
+		t.Fatalf("live waiter got %v, want v", v)
+	}
+	if n := fills.Load(); n != 2 {
+		t.Errorf("%d fills, want 2: the aborted one and the waiter's retry", n)
+	}
+
+	// Alone, a cancelled requester leaves nothing cached.
+	ctx, cancel = context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := c.Do(ctx, attachedKind, "b", func(fctx context.Context) (any, error) {
+		<-fctx.Done()
+		return nil, fctx.Err()
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fill returned %v", err)
+	}
+	if s := c.Stats(); s.Entries != 1 {
+		t.Errorf("%d entries, want 1: the aborted fill must be evicted", s.Entries)
 	}
 }
 
@@ -245,5 +339,101 @@ func TestAddress(t *testing.T) {
 	}
 	if Address(d1, key{1}) == Address(d2, key{1}) {
 		t.Error("different digests share an address")
+	}
+}
+
+// TestFillsCountsDetachedFills: a fill started under WithFills, and a fill
+// it starts in turn, are counted while they run, so a caller can hold the
+// capacity of a requester that gave up until its work ends.
+func TestFillsCountsDetachedFills(t *testing.T) {
+	c := New(nil, 0)
+	var f Fills
+	ctx, cancel := context.WithCancel(WithFills(context.Background(), &f))
+	release := make(chan struct{})
+	nested := make(chan error, 1)
+	_, _, err := c.Do(ctx, memKind, "outer", func(fctx context.Context) (any, error) {
+		cancel()
+		_, _, err := c.Do(fctx, memKind, "inner", func(context.Context) (any, error) {
+			<-release
+			return 2, nil
+		})
+		nested <- err
+		return 1, err
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("requester that gave up got %v, want context.Canceled", err)
+	}
+	if !f.Running() {
+		t.Fatal("the abandoned fill is not counted as running")
+	}
+	close(release)
+	f.Wait()
+	if f.Running() {
+		t.Error("fills still counted as running after Wait")
+	}
+	if err := <-nested; err != nil {
+		t.Errorf("nested fill: %v", err)
+	}
+	if s := c.Stats(); s.Fills != 2 {
+		t.Errorf("stats %+v, want the outer and nested fills completed", s)
+	}
+
+	// Attached fills run on the requester's goroutine and are not counted.
+	var g Fills
+	if _, _, err := c.Do(WithFills(context.Background(), &g), attachedKind, "run", func(context.Context) (any, error) {
+		return 3, nil
+	}); err != nil || g.Running() {
+		t.Errorf("attached fill: err=%v running=%v", err, g.Running())
+	}
+}
+
+// TestBoundedCacheEvicts: a bounded cache holds at most its limit of
+// entries, evicting completed ones, and never evicts a fill in flight.
+func TestBoundedCacheEvicts(t *testing.T) {
+	c := NewBounded(32, 0)
+	const n = 200
+	for i := range n {
+		if _, _, err := c.Do(context.Background(), memKind, strconv.Itoa(i), func(context.Context) (any, error) {
+			return i, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := c.Stats(); s.Entries > 32 || s.Entries+s.Evicted != n || s.Misses != n {
+		t.Errorf("stats %+v, want at most 32 entries and the other %d evicted", s, n)
+	}
+
+	// One entry per shard: an in-flight fill survives a new fill in its
+	// shard, which then holds both.
+	c = NewBounded(1, 0)
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan any)
+	go func() {
+		v, _, _ := c.Do(context.Background(), memKind, "a", func(context.Context) (any, error) {
+			close(started)
+			<-release
+			return "a", nil
+		})
+		done <- v
+	}()
+	<-started
+	other := ""
+	for i := 0; other == ""; i++ {
+		if k := strconv.Itoa(i); c.shardOf(memKind.Name+"-"+k) == c.shardOf(memKind.Name+"-a") {
+			other = k
+		}
+	}
+	if _, _, err := c.Do(context.Background(), memKind, other, func(context.Context) (any, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Evicted != 0 {
+		t.Errorf("stats %+v, want the in-flight fill kept beside the new entry", s)
+	}
+	close(release)
+	if v := <-done; v != "a" {
+		t.Fatalf("in-flight fill returned %v", v)
+	}
+	if _, hit, _ := c.Do(context.Background(), memKind, "a", nil); !hit {
+		t.Error("completed in-flight fill was not cached")
 	}
 }

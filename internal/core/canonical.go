@@ -1,8 +1,11 @@
-// The address policy: which options can change a compiled artifact. Every
-// cache of compiled work (internal/experiments' Runner, and through it
-// machspace and fgpd) addresses an entry by the canonical options below
-// plus the loop's ir.Digest, and fills the entry by compiling exactly those
-// canonical options, so a cached value is a pure function of its address.
+// The address policy: which options can change a compiled artifact, and
+// which machine settings can change a simulation result. Every cache of
+// compiled work (internal/experiments' Runner, and through it machspace and
+// fgpd) addresses an entry by the canonical options below plus the loop's
+// ir.Digest, and fills the entry by compiling exactly those canonical
+// options, so a cached value is a pure function of its address. A memoized
+// simulation result is addressed by its artifact's address plus the
+// canonical run configuration.
 
 package core
 
@@ -73,4 +76,14 @@ func ProfileOptions(opt Options) Options {
 		UseProfile:   true,
 		Machine:      &mc,
 	})
+}
+
+// CanonicalRun returns the part of a simulation configuration a Result
+// depends on: cfg with Engine, Sink, Trace and DebugEdges zeroed. Every
+// engine returns a bit-identical Result; a sink or trace observes a run
+// without changing it (a run that attaches one wants the event stream, so
+// it bypasses result memos); and DebugEdges only adds a check.
+func CanonicalRun(cfg sim.Config) sim.Config {
+	cfg.Engine, cfg.Sink, cfg.Trace, cfg.DebugEdges = "", nil, nil, false
+	return cfg
 }

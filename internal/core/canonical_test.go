@@ -138,6 +138,50 @@ func TestCanonicalOptionsClassifyEveryField(t *testing.T) {
 	}
 }
 
+// runFields is the run-key ledger: whether each sim.Config field counts in
+// a memoized result's address (CanonicalRun keeps it) or not (a run-time
+// choice that leaves the Result bit-identical). A field missing here fails
+// TestCanonicalRunClassifiesEveryField.
+var runFields = map[string]bool{
+	"Cores":           true,
+	"QueueLen":        true,
+	"TransferLatency": true,
+	"Cost":            true,
+	"Cache":           true,
+	"DebugEdges":      false,
+	"CollectProfile":  true,
+	"GroupSize":       true,
+	"MemPortCycles":   true,
+	"MaxSteps":        true,
+	"Trace":           false,
+	"Sink":            false,
+	"Engine":          false,
+}
+
+// TestCanonicalRunClassifiesEveryField pins the run key: every field of
+// sim.Config is in the ledger, and perturbing it moves a result's address
+// exactly when the ledger counts it.
+func TestCanonicalRunClassifiesEveryField(t *testing.T) {
+	var digest [32]byte
+	addr := func(c sim.Config) string { return artcache.Address(digest, CanonicalRun(c)) }
+	base := sim.DefaultConfig(4)
+	mt := reflect.TypeOf(sim.Config{})
+	for i := 0; i < mt.NumField(); i++ {
+		name := mt.Field(i).Name
+		counts, ok := runFields[name]
+		if !ok {
+			t.Errorf("sim.Config.%s is not classified: decide whether it can change a Result, "+
+				"make CanonicalRun keep or zero it, and list it in runFields", name)
+			continue
+		}
+		c := base
+		perturb(t, reflect.ValueOf(&c).Elem().Field(i))
+		if moved := addr(c) != addr(base); moved != counts {
+			t.Errorf("sim.Config.%s: result address moved=%v, want %v", name, moved, counts)
+		}
+	}
+}
+
 // TestCanonicalOptionsSpellings: the spellings of one compile that callers
 // actually send share a canonical form.
 func TestCanonicalOptionsSpellings(t *testing.T) {

@@ -13,11 +13,15 @@
 // options (core.CanonicalOptions) plus the kernel's digest, so every
 // variant is compiled exactly once no matter how many experiments — or, in
 // fgpd, how many requests and sweeps — ask for it, and two loops that share
-// a name never share an entry.
+// a name never share an entry. Simulation results are memoized the same
+// way, by the artifact's address plus the canonical run configuration
+// (core.CanonicalRun), so the many experiments that rerun Fig 12's 4-core
+// machine simulate it once.
 package experiments
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"strconv"
 	"time"
@@ -29,11 +33,11 @@ import (
 	"fgp/internal/sim"
 )
 
-// Runner resolves compiled artifacts, profiles and sequential baselines
-// through a content-addressed singleflight cache, so regenerating the full
-// evaluation stays fast. It is safe for concurrent use: each entry is
-// filled exactly once, with concurrent requesters blocking on the first
-// fill instead of duplicating it.
+// Runner resolves compiled artifacts, profiles, sequential baselines and
+// simulation results through content-addressed singleflight caches, so
+// regenerating the full evaluation stays fast. It is safe for concurrent
+// use: each entry is filled exactly once, with concurrent requesters
+// blocking on the first fill instead of duplicating it.
 type Runner struct {
 	workers int
 	engine  string // sim engine for every simulation; "" = the threaded default
@@ -43,7 +47,16 @@ type Runner struct {
 	// caller requests itself, so it stays out of the shared cache's
 	// counters and disk tier.
 	profiles *artcache.Cache
+	// results memoizes simulation results, in memory only, with its own
+	// counters and at most maxResults entries (see Simulate).
+	results *artcache.Cache
 }
+
+// maxResults bounds the simulation-result memo. A full fgpexp evaluation
+// holds 500 distinct results, and a result at fgpd's 16-core limit takes
+// about 5 KB (its queue high-water marks are 2·cores² ints), so the memo
+// stays near 10 MB however many machines fgpd's sweeps cover.
+const maxResults = 2048
 
 // The cache entry kinds a Runner fills. Artifacts and baselines persist
 // when the cache has a disk tier; profiles stay in memory.
@@ -59,6 +72,9 @@ var (
 		Decode: func(data []byte) (any, error) { return strconv.ParseInt(string(data), 10, 64) },
 	}
 	profKind = &artcache.Kind{Name: "prof"}
+	// A simulation fill runs under its requester's context, so a client
+	// that leaves aborts it; see internal/artcache.
+	runKind = &artcache.Kind{Name: "run", Attached: true}
 )
 
 // NewRunner returns a runner over an empty memory-only cache. By default
@@ -66,10 +82,15 @@ var (
 func NewRunner() *Runner { return NewTieredRunner(nil, 0) }
 
 // NewTieredRunner returns a runner whose cache has the disk tier d (nil
-// for memory only) and bounds each fill by budget (0 for no bound). Fills
-// run detached from the requester's context; see internal/artcache.
+// for memory only) and bounds each fill by budget (0 for no bound).
+// Compile fills run detached from the requester's context; see
+// internal/artcache.
 func NewTieredRunner(d artcache.Disk, budget time.Duration) *Runner {
-	return &Runner{cache: artcache.New(d, budget), profiles: artcache.New(nil, budget)}
+	return &Runner{
+		cache:    artcache.New(d, budget),
+		profiles: artcache.New(nil, budget),
+		results:  artcache.NewBounded(maxResults, budget),
+	}
 }
 
 // Cache returns the runner's artifact cache, for callers that cache work
@@ -242,14 +263,64 @@ func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim
 	return v.(int64), hit, nil
 }
 
+// Simulate resolves the result of running the artifact a, whose address
+// ArtifactContext returned as addr, on cfg. Results are memoized under
+// sha256(core.CanonicalRun(cfg) ‖ 0 ‖ addr): a Result depends only on the
+// artifact and the run levers, and every engine returns a bit-identical
+// one, so cfg.Engine only picks the engine a miss runs on. A run with a
+// Sink or Trace attached bypasses the memo, since its output is the event
+// stream. hit reports whether an existing result served the call. The
+// Result may be shared with other callers and must not be modified. The
+// memo holds at most maxResults results; a new one past that evicts an
+// arbitrary older one.
+//
+// Unlike a compile, a simulation fill runs under ctx: a requester that
+// gives up aborts it within one cancellation stride, the aborted entry is
+// evicted, and a concurrent requester whose own ctx is live simulates
+// afresh.
+func (r *Runner) Simulate(ctx context.Context, a *core.Artifact, addr string, cfg sim.Config) (res *sim.Result, hit bool, err error) {
+	if cfg.Sink != nil || cfg.Trace != nil {
+		res, err = a.RunContext(ctx, cfg)
+		return res, false, err
+	}
+	// The engine is not part of the address, so an unknown one must fail
+	// here rather than cache its error for every engine.
+	if err := cfg.Validate(); err != nil {
+		return nil, false, err
+	}
+	key, err := resultAddress(addr, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	v, hit, err := r.results.Do(ctx, runKind, key, func(ctx context.Context) (any, error) {
+		return a.RunContext(ctx, cfg)
+	})
+	if err != nil {
+		return nil, hit, err
+	}
+	return v.(*sim.Result), hit, nil
+}
+
+// resultAddress is the memo address of running the artifact at addr on
+// cfg.
+func resultAddress(addr string, cfg sim.Config) (string, error) {
+	var digest [32]byte
+	if _, err := hex.Decode(digest[:], []byte(addr)); err != nil {
+		return "", fmt.Errorf("experiments: artifact address %q: %w", addr, err)
+	}
+	return artcache.Address(digest, core.CanonicalRun(cfg)), nil
+}
+
 // Speedup runs a kernel variant (optionally overriding the machine config)
-// and returns sequential-cycles / parallel-cycles plus the raw result.
+// and returns sequential-cycles / parallel-cycles plus the raw result,
+// which Simulate may share with other callers.
 func (r *Runner) Speedup(k *kernels.Kernel, v Variant, mod func(*sim.Config)) (float64, *sim.Result, *core.Artifact, error) {
 	seq, err := r.SeqCycles(k)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	a, err := r.Artifact(k, v)
+	ctx := context.Background()
+	a, addr, _, err := r.ArtifactContext(ctx, k, v.Options())
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -258,7 +329,7 @@ func (r *Runner) Speedup(k *kernels.Kernel, v Variant, mod func(*sim.Config)) (f
 	if mod != nil {
 		mod(&cfg)
 	}
-	res, err := a.Run(cfg)
+	res, _, err := r.Simulate(ctx, a, addr, cfg)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("experiments: run %s: %w", k.Name, err)
 	}

@@ -14,7 +14,10 @@
 // one-core machine — a point with a tiny L1 slows the one-core machine
 // down too, and an honest speedup divides by that machine's own baseline.
 // Because the cache is shared, fgpd's /v1/run of a swept point, and a
-// sweep of a point already compiled, compile nothing.
+// sweep of a point already compiled, compile nothing. Each point's result
+// resolves through the runner's simulation memo (Runner.Simulate), so a
+// point already simulated, by an earlier sweep or an experiment, is not
+// simulated again.
 
 package machspace
 
@@ -119,9 +122,9 @@ func boundReject(msg string) string {
 // Sweep runs the grid for one kernel and returns its surface. The grid is
 // normalized (unswept axes filled with paper defaults) and budget-checked
 // before any work; each point then resolves its artifact and sequential
-// baseline through r's cache and simulates under ctx, which cancels the
-// sweep within one cancellation stride. Same grid and options ⇒
-// byte-identical surface, for any Workers.
+// baseline through r's cache and its result through r's simulation memo,
+// under ctx, which cancels the sweep within one cancellation stride. Same
+// grid and options ⇒ byte-identical surface, for any Workers.
 func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid, opt Options) (*Surface, error) {
 	ng, err := g.Normalize(opt.MaxCores)
 	if err != nil {
@@ -154,7 +157,7 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 
 		// Compile-relevant levers address the artifact; the rest are
 		// applied to the machine configuration below.
-		a, _, _, err := r.ArtifactContext(ctx, k, experiments.Variant{
+		a, addr, _, err := r.ArtifactContext(ctx, k, experiments.Variant{
 			Cores:        p.Cores,
 			QueueLen:     p.QueueLen,
 			Partitioner:  opt.Partitioner,
@@ -177,7 +180,7 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 		cfg.Cost.L1Hit = p.L1Hit
 		cfg.Cost.L1Miss = p.L1Miss
 		cfg.Engine = opt.Engine
-		res, err := a.RunContext(ctx, cfg)
+		res, _, err := r.Simulate(ctx, a, addr, cfg)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

@@ -8,10 +8,13 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"fgp/internal/ir"
 )
 
 func TestQueuedRequestHonorsDeadline(t *testing.T) {
@@ -71,5 +74,71 @@ func TestBatchQueuedDeadline(t *testing.T) {
 	}
 	if s.Snapshot().BatchItems != 0 {
 		t.Error("timed-out batch executed items")
+	}
+}
+
+// TestRequestDeadlineEndsWaitOnFill: a request that starts a compile
+// waits on it like any other requester, so its own deadline answers 504
+// long before the fill ends. (The requester used to run the fill on its
+// own goroutine and answer only once the fill was done: a new 5M-trip loop
+// with timeout_ms 1 took 1.08 s to time out.) The fill runs on, detached,
+// for later requests.
+func TestRequestDeadlineEndsWaitOnFill(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	wire, err := ir.MarshalLoop(uniqueLoop(4242, 1_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	code, _, msg := postRun(t, ts, RunRequest{IR: wire, Cores: 2, TimeoutMs: 1})
+	early := time.Since(start)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("1ms request: %d %q, want 504", code, msg)
+	}
+	if m := s.Snapshot(); m.Cache.Abandoned != 1 {
+		t.Errorf("abandoned = %d, want 1: the requester that gave up on its fill", m.Cache.Abandoned)
+	}
+	code, _, msg = postRun(t, ts, RunRequest{IR: wire, Cores: 2})
+	full := time.Since(start)
+	if code != http.StatusOK {
+		t.Fatalf("patient request: %d %q", code, msg)
+	}
+	if early > full/4 {
+		t.Errorf("504 took %v; the request's work took %v in all", early, full)
+	}
+}
+
+// TestAbandonedFillsHoldWorkerSlots: a fill whose request gave up keeps
+// that request's worker slot until it ends. A run of requests with a 1 ms
+// deadline, each for a new long loop, therefore starts no more fills than
+// there are workers; the rest time out queued. (Each request used to free
+// its slot at its deadline, so every one of them started a fill.)
+func TestAbandonedFillsHoldWorkerSlots(t *testing.T) {
+	const workers = 2
+	s, ts := newTestServer(t, Config{Workers: workers, Timeout: 3 * time.Second})
+	for i := range 4 * workers {
+		wire, err := ir.MarshalLoop(uniqueLoop(int64(9000+i), 5_000_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _, msg := postRun(t, ts, RunRequest{IR: wire, Cores: 2, TimeoutMs: 1}); code != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: %d %q, want 504", i, code, msg)
+		}
+	}
+	if cs := s.run.Cache().Stats(); cs.Fills != 0 {
+		t.Fatalf("a fill completed while the requests ran (%+v); the loops are too short to hold the slots", cs)
+	} else if cs.Entries > workers {
+		t.Errorf("%d fills started, want at most %d: abandoned fills escaped admission control", cs.Entries, workers)
+	}
+	if m := s.Snapshot(); m.InFlight != workers {
+		t.Errorf("inflight = %d, want %d slots held by abandoned fills", m.InFlight, workers)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if m := s.Snapshot(); m.InFlight != 0 {
+		t.Errorf("inflight = %d after drain; the fills' slots were not released", m.InFlight)
 	}
 }

@@ -18,13 +18,19 @@
 //     already compiled compiles nothing. Transfer latency is applied at
 //     simulation time; it is part of the address only under the search
 //     partitioner, which scores partitions on the machine it compiles for.
+//     /v1/frontier sweeps also resolve each point's result through the
+//     runner's simulation memo; /v1/run and /v1/batch simulate every
+//     request.
 //   - Admission control: a bounded worker pool executes requests, a
 //     queue-depth limit sheds load with 429 before work piles up, every
 //     request carries a deadline, and SIGTERM drains gracefully.
-//   - Cancellation: the request context is threaded through the compile
-//     pipeline into the simulator, which aborts within one cancellation
-//     stride when the client disconnects or the deadline passes
-//     (sim.RunContext).
+//   - Cancellation: a request gives up when the client disconnects or its
+//     deadline passes, whatever it is waiting on. A compile it started
+//     runs on, detached and bounded by the server budget, because other
+//     requests may be waiting on it; it keeps the request's worker slot
+//     until it ends, so the pool bounds fills as well as requests. A
+//     simulation runs under the request context and aborts within one
+//     cancellation stride (sim.RunContext).
 //
 // A fourth concern arrived with scale: persistence. When Config.StoreDir
 // is set, compiled artifacts, sequential baselines and swept surfaces are
@@ -126,13 +132,13 @@ type Server struct {
 
 	sem      chan struct{} // worker slots
 	queued   atomic.Int64  // admitted, waiting for a slot
-	inflight atomic.Int64  // holding a slot
+	inflight atomic.Int64  // holding a slot (see admit)
 	// drainMu gates admission against Drain: admit registers with wg under
 	// the read lock, Drain flips draining under the write lock before
 	// waiting, so wg.Add can never race wg.Wait at a zero counter.
 	drainMu  sync.RWMutex
 	draining atomic.Bool
-	wg       sync.WaitGroup // every admitted request, for Drain
+	wg       sync.WaitGroup // every admitted request and its fills, for Drain
 
 	met metrics
 }
@@ -171,8 +177,9 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain marks the server draining (healthz flips to 503 so load balancers
-// stop routing) and waits until every admitted request has finished, or ctx
-// expires. New work arriving while draining is refused with 503.
+// stop routing) and waits until every admitted request, and every fill one
+// left running, has finished, or ctx expires. New work arriving while
+// draining is refused with 503.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
@@ -219,7 +226,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, reqTimeout time.D
 	}
 	s.wg.Add(1)
 	s.drainMu.RUnlock()
-	defer s.wg.Done()
 
 	budget := s.cfg.Timeout
 	if reqTimeout > 0 && reqTimeout < budget {
@@ -234,6 +240,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, reqTimeout time.D
 		s.queued.Add(-1)
 	case <-ctx.Done():
 		s.queued.Add(-1)
+		s.wg.Done()
 		s.met.canceled.Add(1)
 		s.met.lat.observe(time.Since(start))
 		if ctx.Err() == context.DeadlineExceeded {
@@ -245,12 +252,28 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, reqTimeout time.D
 		return
 	}
 	s.inflight.Add(1)
+	// A compile, baseline or sweep this request starts runs detached and
+	// carries on when the request gives up on it (internal/artcache). The
+	// slot stays taken until every such fill ends, so requests that leave
+	// early cannot set off more concurrent fills than there are workers.
+	var fills artcache.Fills
 	defer func() {
-		s.inflight.Add(-1)
-		<-s.sem
+		release := func() {
+			s.inflight.Add(-1)
+			<-s.sem
+			s.wg.Done()
+		}
+		if fills.Running() {
+			go func() {
+				fills.Wait()
+				release()
+			}()
+		} else {
+			release()
+		}
 	}()
 
-	fn(ctx)
+	fn(artcache.WithFills(ctx, &fills))
 	s.met.lat.observe(time.Since(start))
 }
 
