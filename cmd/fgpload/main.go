@@ -26,6 +26,9 @@
 // -gate turns the run into a mechanical regression check against a
 // committed report (nonzero exit when peak closed-loop throughput drops or
 // per-point p99 regresses past the threshold), mirroring fgpbench -gate.
+//
+// A bad -mix, -closed or -open value exits 2 before any load runs and names
+// the accepted classes or form.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -123,6 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "fgpload: "+format+"\n", args...)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fgpload:", err)
 		return 1
@@ -130,11 +138,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
-		return fail(err)
+		return usage("-mix: %v", err)
 	}
 	levels, err := parseInts(*closedList)
 	if err != nil {
-		return fail(fmt.Errorf("-closed: %w", err))
+		return usage("-closed: %v", err)
+	}
+	// Open loop: explicit rates, or (when empty) fractions of the measured
+	// peak, filled in after the closed loop.
+	var rates []float64
+	if *openList != "" {
+		ints, err := parseInts(*openList)
+		if err != nil {
+			return usage("-open: %v", err)
+		}
+		for _, r := range ints {
+			rates = append(rates, float64(r))
+		}
 	}
 
 	target := *addr
@@ -198,17 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Open loop: explicit rates, or fractions of the measured peak.
-	var rates []float64
-	if *openList != "" {
-		ints, err := parseInts(*openList)
-		if err != nil {
-			return fail(fmt.Errorf("-open: %w", err))
-		}
-		for _, r := range ints {
-			rates = append(rates, float64(r))
-		}
-	} else {
+	if len(rates) == 0 {
 		for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 			r := rep.PeakClosedRPS * frac
 			if r < 5 {
@@ -642,28 +652,34 @@ func buildKernelWire(seed, trips int64) json.RawMessage {
 	return wire
 }
 
+// parseMix reads -mix: class=weight entries, each class at most once, with
+// finite weights >= 0 that sum to more than zero, normalized to sum to one.
 func parseMix(spec string) (map[string]float64, error) {
+	const classes = "hit, miss, cancel, batch"
 	mix := map[string]float64{}
 	total := 0.0
 	for _, part := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return nil, fmt.Errorf("mix entry %q is not class=weight", part)
+			return nil, fmt.Errorf("entry %q is not class=weight (classes: %s)", part, classes)
 		}
 		switch k {
 		case "hit", "miss", "cancel", "batch":
 		default:
-			return nil, fmt.Errorf("unknown traffic class %q", k)
+			return nil, fmt.Errorf("unknown traffic class %q (have %s)", k, classes)
+		}
+		if _, dup := mix[k]; dup {
+			return nil, fmt.Errorf("traffic class %q given twice", k)
 		}
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return nil, fmt.Errorf("mix weight %q: %v", v, err)
+		if err != nil || !(f >= 0) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("weight %q of %s: want a finite number >= 0", v, k)
 		}
 		mix[k] = f
 		total += f
 	}
-	if total <= 0 {
-		return nil, fmt.Errorf("mix weights sum to %v; need > 0", total)
+	if !(total > 0) || math.IsInf(total, 1) {
+		return nil, fmt.Errorf("weights sum to %v; need a finite sum > 0", total)
 	}
 	for k := range mix {
 		mix[k] /= total
@@ -671,12 +687,13 @@ func parseMix(spec string) (map[string]float64, error) {
 	return mix, nil
 }
 
+// parseInts reads a comma-separated list of positive integers.
 func parseInts(list string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(list, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad entry %q", f)
+			return nil, fmt.Errorf("bad entry %q: want a comma-separated list of positive integers", f)
 		}
 		out = append(out, n)
 	}

@@ -92,9 +92,40 @@ func TestParseMix(t *testing.T) {
 	if mix["hit"] != 0.75 || mix["miss"] != 0.25 {
 		t.Errorf("weights not normalized: %v", mix)
 	}
-	for _, bad := range []string{"", "hit", "hit=x", "warp=1", "hit=0"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Errorf("parseMix(%q) accepted", bad)
+	for _, bad := range []string{"", "hit", "hit=x", "warp=1", "hit=0",
+		"hit=NaN", "hit=Inf", "hit=+Inf", "hit=-Inf", "miss=NaN,hit=1", "hit=1e308,miss=1e308",
+		"miss=1,miss=1,hit=1", "hit=0,hit=1"} {
+		if mix, err := parseMix(bad); err == nil {
+			t.Errorf("parseMix(%q) accepted: %v", bad, mix)
+		}
+	}
+	if _, err := parseMix("warp=1"); err == nil || !strings.Contains(err.Error(), "hit, miss, cancel, batch") {
+		t.Errorf("unknown class error %v does not name the accepted classes", err)
+	}
+}
+
+// TestRunBadFlagValues: a bad -mix, -closed or -open value exits 2 before
+// any load runs, and says what it accepts.
+func TestRunBadFlagValues(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mix", "hit=NaN"}, "finite"},
+		{[]string{"-mix", "miss=1,miss=1,hit=1"}, "twice"},
+		{[]string{"-mix", "warp=1"}, "hit, miss, cancel, batch"},
+		{[]string{"-closed", "4,x"}, "positive integers"},
+		{[]string{"-closed", "0"}, "positive integers"},
+		{[]string{"-open", "-5"}, "positive integers"},
+		{[]string{"-no-such-flag"}, "not defined"},
+	}
+	for _, c := range cases {
+		var stdout, stderr strings.Builder
+		if code := run(c.args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%q) = %d, want 2 (stderr %q)", c.args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("run(%q) stderr %q does not mention %q", c.args, stderr.String(), c.want)
 		}
 	}
 }

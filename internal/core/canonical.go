@@ -64,11 +64,17 @@ func CanonicalOptions(opt Options) Options {
 // ProfileOptions returns the canonical options of the profiling
 // measurement a compile with opt feeds on: only the pre-lowering
 // transformations and the machine count, and the machine has one core.
-// Compilations of one variant at every core count share it.
+// Compilations of one variant at every core count share it. The queue
+// levers (QueueLen, Cost.Enq, Cost.Deq) take the paper default, as
+// CanonicalOptions does for transfer latency: the one-core profiling
+// program has no enq or deq. A caller must validate the full machine
+// itself, or a degenerate queue lever would profile as the default.
 func ProfileOptions(opt Options) Options {
 	c := CanonicalOptions(opt)
 	mc := *c.Machine
+	def := sim.DefaultConfig(1)
 	mc.Cores = 1
+	mc.QueueLen, mc.Cost.Enq, mc.Cost.Deq = def.QueueLen, def.Cost.Enq, def.Cost.Deq
 	return CanonicalOptions(Options{
 		Cores:        1,
 		Speculate:    c.Speculate,

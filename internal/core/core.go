@@ -266,7 +266,7 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 		if opt.Profile != nil {
 			prof = opt.Profile
 		} else {
-			prof, err = profileRun(ctx, fn, info, set, mc)
+			prof, _, err = profileRun(ctx, fn, info, set, mc)
 			if err != nil {
 				return nil, fmt.Errorf("core: profiling run failed: %w", err)
 			}
@@ -292,35 +292,9 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 		}
 	}
 
-	depthCap := 8
-	if mc.QueueLen < depthCap {
-		depthCap = mc.QueueLen
-	}
-	compiled, err := outline.Generate(fn, info, parts, outline.Options{
-		MachineCores:  mc.Cores,
-		Schedule:      opt.Schedule,
-		InstrCost:     instrCost,
-		TokenDepthCap: depthCap,
-	})
+	compiled, err := codegen(fn, info, parts, instrCost, mc, opt.Schedule)
 	if err != nil {
 		return nil, err
-	}
-
-	for _, prog := range compiled.Programs {
-		if err := prog.Validate(mc.Cores); err != nil {
-			return nil, fmt.Errorf("core: generated program failed validation: %w", err)
-		}
-	}
-
-	if err := verify.Check(verify.Input{
-		Programs: compiled.Programs,
-		Cores:    mc.Cores,
-		QueueLen: mc.QueueLen,
-		Fn:       fn,
-		Deps:     info,
-		Parts:    parts,
-	}); err != nil {
-		return nil, fmt.Errorf("core: compiled program failed static verification: %w", err)
 	}
 
 	// Build the threaded engine's basic-block translation now, from the
@@ -344,6 +318,33 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 	return a, nil
 }
 
+// codegen is the pipeline tail every partition goes through: outlining
+// (token priming capped by the queue length), program validation and
+// static verification.
+func codegen(fn *tac.Fn, info *deps.Info, parts *codegraph.Result, instrCost func(*tac.Instr) int64, mc sim.Config, schedule bool) (*outline.Compiled, error) {
+	compiled, err := outline.Generate(fn, info, parts, outline.Options{
+		MachineCores:  mc.Cores,
+		Schedule:      schedule,
+		InstrCost:     instrCost,
+		TokenDepthCap: min(8, mc.QueueLen),
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, prog := range compiled.Programs {
+		if err := prog.Validate(mc.Cores); err != nil {
+			return nil, fmt.Errorf("core: generated program failed validation: %w", err)
+		}
+	}
+	if err := verify.Check(verify.Input{
+		Programs: compiled.Programs, Cores: mc.Cores, QueueLen: mc.QueueLen,
+		Fn: fn, Deps: info, Parts: parts,
+	}); err != nil {
+		return nil, fmt.Errorf("core: compiled program failed static verification: %w", err)
+	}
+	return compiled, nil
+}
+
 type searchStats struct {
 	explored int
 	baseline int64
@@ -361,36 +362,8 @@ type searchStats struct {
 // is accepted. If the seed itself cannot be scored (the kernel
 // traps on its inputs), the heuristic partition is kept unchanged.
 func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Info, seed *codegraph.Result, instrCost func(*tac.Instr) int64, mc sim.Config, opt Options) (*codegraph.Result, searchStats, error) {
-	depthCap := 8
-	if mc.QueueLen < depthCap {
-		depthCap = mc.QueueLen
-	}
 	build := func(cand *codegraph.Result) (*outline.Compiled, error) {
-		compiled, err := outline.Generate(fn, info, cand, outline.Options{
-			MachineCores:  mc.Cores,
-			Schedule:      opt.Schedule,
-			InstrCost:     instrCost,
-			TokenDepthCap: depthCap,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, prog := range compiled.Programs {
-			if err := prog.Validate(mc.Cores); err != nil {
-				return nil, err
-			}
-		}
-		if err := verify.Check(verify.Input{
-			Programs: compiled.Programs,
-			Cores:    mc.Cores,
-			QueueLen: mc.QueueLen,
-			Fn:       fn,
-			Deps:     info,
-			Parts:    cand,
-		}); err != nil {
-			return nil, err
-		}
-		return compiled, nil
+		return codegen(fn, info, cand, instrCost, mc, opt.Schedule)
 	}
 	simulate := func(ctx context.Context, compiled *outline.Compiled, image *mem.Memory) (*sim.Result, error) {
 		m, err := sim.New(compiled.Programs, image, mc)
@@ -504,41 +477,47 @@ func crossCheckPartitions(ctx context.Context, l *ir.Loop, seed, best *codegraph
 // ComputeProfile runs the front half of the pipeline (the same validation,
 // normalization, speculation, lowering, fiber partitioning and dependence
 // analysis CompileContext runs) and the sequential profiling simulation
-// under ctx, returning the profile feedback Compile would measure for these
-// options. The result is independent of Options.Cores (the profiling
-// machine always has one core), so callers compiling one loop variant at
-// several core counts can measure the profile once and pass it to each
-// compilation via Options.Profile — bit-identical to letting every Compile
-// run its own profiling simulation. ProfileOptions gives the options that
-// identify one measurement.
-func ComputeProfile(ctx context.Context, l *ir.Loop, opt Options) (profile.Profile, error) {
+// under ctx. It returns the profile feedback Compile would measure for
+// these options and the simulated cycles of that run.
+//
+// The profiling run simulates the loop's one-core, single-partition
+// program, so its cycles are the loop's sequential baseline: they equal
+// those of CompileSequential's artifact run on the same machine, which is
+// how the experiments Runner serves baselines without a second compile.
+// Neither result depends on Options.Cores or on the machine's queue levers
+// (the profiling machine has one core and its program no enq or deq), so
+// callers compiling one loop variant at several core counts can measure
+// once and pass the profile to each compilation via Options.Profile —
+// bit-identical to letting every Compile run its own profiling simulation.
+// ProfileOptions gives the options that identify one measurement.
+func ComputeProfile(ctx context.Context, l *ir.Loop, opt Options) (profile.Profile, int64, error) {
 	a, err := analyze(l, opt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	return profileRun(ctx, a.fn, a.info, a.set, a.mc)
 }
 
 // profileRun compiles the loop for one core and simulates it collecting
-// per-load latencies.
-func profileRun(ctx context.Context, fn *tac.Fn, info *deps.Info, set *fiber.Set, mc sim.Config) (profile.Profile, error) {
+// per-load latencies. It returns the profile and the run's cycles.
+func profileRun(ctx context.Context, fn *tac.Fn, info *deps.Info, set *fiber.Set, mc sim.Config) (profile.Profile, int64, error) {
 	parts := singlePartition(set)
 	compiled, err := outline.Generate(fn, info, parts, outline.Options{MachineCores: 1})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cfg := mc
 	cfg.Cores = 1
 	cfg.CollectProfile = true
 	m, err := sim.New(compiled.Programs, outline.BuildMemory(fn.Loop), cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res, err := m.RunContext(ctx)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return profile.FromLoadStats(res.LoadProfile), nil
+	return profile.FromLoadStats(res.LoadProfile), res.Cycles, nil
 }
 
 // singlePartition places every fiber in one partition (sequential code).

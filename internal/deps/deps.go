@@ -110,7 +110,10 @@ func (info *Info) colocate(a, b int32) {
 // multi-def temps (conditionally assigned values, accumulators) every def
 // may reach a given use; all defs are co-located, uses get edges from each
 // def, and a use that precedes a def in program order is a loop-carried
-// read, which additionally co-locates the reader.
+// read, which additionally co-locates the reader. The readers come from the
+// temp's reader index (tac.TempInfo.Uses), in program order, so the pass
+// visits each (reader, def) pair once instead of rescanning the function
+// for every temp.
 func (info *Info) regDeps() {
 	fn := info.Fn
 	for tid := range fn.Temps {
@@ -129,30 +132,17 @@ func (info *Info) regDeps() {
 				info.colocate(fn.Instrs[defs[0]].Fiber, fn.Instrs[defs[i]].Fiber)
 			}
 		}
-		// Collect uses.
-		var ubuf []tac.TempID
-		for _, in := range fn.Instrs {
-			ubuf = ubuf[:0]
-			ubuf = in.Uses(ubuf)
-			reads := false
-			for _, u := range ubuf {
-				if u == temp {
-					reads = true
-				}
-			}
-			if !reads {
-				continue
-			}
+		for _, use := range t.Uses {
+			in := fn.Instrs[use]
 			for _, d := range defs {
 				if d == in.ID && len(defs) == 1 {
 					// self-referencing single def (x = x op y without being
 					// a param) cannot validate; defensive skip
 					continue
 				}
-				carried := d >= in.ID // def at or after the use: previous iteration's value
-				if d == in.ID {
-					carried = true // e.g. sum = sum + x reads last iteration's sum
-				}
+				// A def at or after the use feeds it the previous
+				// iteration's value (sum = sum + x reads last iteration's sum).
+				carried := d >= in.ID
 				info.Edges = append(info.Edges, Edge{From: d, To: in.ID, Kind: Reg, Carried: carried, Temp: temp})
 				if carried {
 					info.colocate(fn.Instrs[d].Fiber, in.Fiber)
@@ -178,17 +168,17 @@ func (info *Info) memDeps() error {
 	}
 	byArray := map[string][]access{}
 	for _, in := range fn.Instrs {
-		switch in.Op {
-		case tac.OpLoad:
-			byArray[in.Array] = append(byArray[in.Array], access{in, false, info.Affine[in.A]})
-		case tac.OpStore:
-			byArray[in.Array] = append(byArray[in.Array], access{in, true, info.Affine[in.A]})
+		if in.Op != tac.OpLoad && in.Op != tac.OpStore {
+			continue
 		}
+		if l.Array(in.Array) == nil {
+			return fmt.Errorf("deps: access to unknown array %q", in.Array)
+		}
+		byArray[in.Array] = append(byArray[in.Array], access{in, in.Op == tac.OpStore, info.Affine[in.A]})
 	}
-	for arr, accs := range byArray {
-		if l.Array(arr) == nil {
-			return fmt.Errorf("deps: access to unknown array %q", arr)
-		}
+	// Arrays in declaration order, so the edges come out in one order.
+	for _, decl := range l.Arrays {
+		accs := byArray[decl.Name]
 		for i := 0; i < len(accs); i++ {
 			for j := i + 1; j < len(accs); j++ {
 				a, b := accs[i], accs[j]

@@ -43,9 +43,10 @@ type Runner struct {
 	engine  string // sim engine for every simulation; "" = the threaded default
 
 	cache *artcache.Cache // artifacts and sequential baselines
-	// profiles holds profile feedback: an input of artifact fills that no
-	// caller requests itself, so it stays out of the shared cache's
-	// counters and disk tier.
+	// profiles holds profiling runs, whose feedback feeds artifact fills
+	// and whose cycles fill sequential baselines. No caller requests one
+	// itself, so they stay out of the shared cache's counters and disk
+	// tier.
 	profiles *artcache.Cache
 	// results memoizes simulation results, in memory only, with its own
 	// counters and at most maxResults entries (see Simulate).
@@ -204,14 +205,28 @@ func (r *Runner) compile(ctx context.Context, k *kernels.Kernel, opt core.Option
 		if err != nil {
 			return nil, err
 		}
-		opt.Profile = p
+		opt.Profile = p.prof
 	}
 	return core.CompileContext(ctx, k.Build(), opt)
 }
 
-// profile measures (or returns the cached) profile feedback a compile of k
-// under opt feeds on; see core.ProfileOptions.
-func (r *Runner) profile(ctx context.Context, k *kernels.Kernel, opt core.Options) (profile.Profile, error) {
+// profiled is a profile entry: the feedback of one profiling run and that
+// run's simulated cycles, which are the loop's sequential baseline on the
+// run's machine (see core.ComputeProfile).
+type profiled struct {
+	prof   profile.Profile
+	cycles int64
+}
+
+// profile measures (or returns the cached) profiling run a compile of k
+// under the canonical options opt feeds on; see core.ProfileOptions. The
+// profile's address ignores the queue levers, so opt's full machine is
+// validated first: a degenerate queue is refused with its *sim.ConfigError
+// before anything simulates.
+func (r *Runner) profile(ctx context.Context, k *kernels.Kernel, opt core.Options) (profiled, error) {
+	if err := opt.Machine.Validate(); err != nil {
+		return profiled{}, err
+	}
 	popt := core.ProfileOptions(opt)
 	v, _, err := r.profiles.Do(ctx, profKind, artcache.Address(k.Digest(), popt), func(ctx context.Context) (any, error) {
 		// The profiling simulation runs on the runner's engine too, so a
@@ -219,17 +234,20 @@ func (r *Runner) profile(ctx context.Context, k *kernels.Kernel, opt core.Option
 		mc := *popt.Machine
 		mc.Engine = r.engine
 		popt.Machine = &mc
-		return core.ComputeProfile(ctx, k.Build(), popt)
+		p, cycles, err := core.ComputeProfile(ctx, k.Build(), popt)
+		if err != nil {
+			return nil, err
+		}
+		return profiled{p, cycles}, nil
 	})
 	if err != nil {
-		return nil, err
+		return profiled{}, err
 	}
-	return v.(profile.Profile), nil
+	return v.(profiled), nil
 }
 
 // SeqCycles returns the sequential baseline cycle count for a kernel on the
-// paper-default machine, compiling and simulating it at most once per
-// cache.
+// paper-default machine; see SeqCyclesContext.
 func (r *Runner) SeqCycles(k *kernels.Kernel) (int64, error) {
 	cy, _, err := r.SeqCyclesContext(context.Background(), k, sim.DefaultConfig(1))
 	return cy, err
@@ -238,24 +256,22 @@ func (r *Runner) SeqCycles(k *kernels.Kernel) (int64, error) {
 // SeqCyclesContext resolves the sequential baseline of k on the one-core
 // machine mc, addressed like an artifact by the canonical options of the
 // sequential compile for mc. It reports whether an existing memory entry
-// served it.
+// served it. A fill compiles nothing of its own: it reads the cycles of
+// the profiling run for the sequential options on mc (see
+// core.ComputeProfile), an entry the compiles of the loop's plain variants
+// share. Baselines persist in the disk tier, so a warm restart neither
+// compiles nor profiles.
 func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim.Config) (int64, bool, error) {
 	opt := core.DefaultOptions(1)
 	opt.UseProfile = false
 	opt.Machine = &mc
 	opt = core.CanonicalOptions(opt)
 	v, hit, err := r.cache.Do(ctx, seqKind, artcache.Address(k.Digest(), opt), func(ctx context.Context) (any, error) {
-		a, err := core.CompileContext(ctx, k.Build(), opt)
+		p, err := r.profile(ctx, k, opt)
 		if err != nil {
 			return nil, err
 		}
-		cfg := a.MachineConfig()
-		cfg.Engine = r.engine
-		res, err := a.RunContext(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return res.Cycles, nil
+		return p.cycles, nil
 	})
 	if err != nil {
 		return 0, hit, err

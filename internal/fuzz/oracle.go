@@ -68,7 +68,7 @@ type Mismatch struct {
 	Spec   bool
 	Norm   int
 	Engine string
-	Stage  string // "frontend", "compile", "verify", "run", "memory", "liveout", "invariant"
+	Stage  string // "frontend", "compile", "verify", "run", "memory", "liveout", "invariant", "baseline"
 	Detail string
 }
 
@@ -158,7 +158,7 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 			popt := core.DefaultOptions(1)
 			popt.Speculate = spec
 			popt.NormalizeOps = norm
-			prof, perr := core.ComputeProfile(context.Background(), compiled, popt)
+			prof, profCycles, perr := core.ComputeProfile(context.Background(), compiled, popt)
 			if perr != nil {
 				// A trapping kernel traps during profiling too — that is the
 				// expected outcome, not a mismatch; compile without profile
@@ -232,6 +232,13 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 					return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
 						Stage:  "invariant",
 						Detail: fmt.Sprintf("queue traffic on 1 core: transfers=%d queues=%d", thrRes.Transfers, thrRes.QueuesUsed)}
+				}
+				// Invariant: the profiling run is the sequential baseline the
+				// experiments Runner serves, so it takes the one-core cycles.
+				if cores == 1 && prof != nil && thrRes != nil && thrRes.Cycles != profCycles {
+					return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
+						Engine: sim.EngineThreaded, Stage: "baseline",
+						Detail: fmt.Sprintf("profiling run took %d cycles, the one-core artifact %d", profCycles, thrRes.Cycles)}
 				}
 				// Partitioner lever: recompile with the simulator-guided
 				// partition search and hold the searched artifact to the same

@@ -2,6 +2,7 @@ package outline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fgp/internal/ir"
@@ -152,20 +153,7 @@ func (g *generator) posOf(it *item) itemPos {
 
 // usedByPart reports whether any instruction of partition p reads temp t.
 func (g *generator) usedByPart(t tac.TempID, p int) bool {
-	var uses []tac.TempID
-	for _, in := range g.fn.Instrs {
-		if g.part[in.ID] != p {
-			continue
-		}
-		uses = uses[:0]
-		uses = in.Uses(uses)
-		for _, u := range uses {
-			if u == t {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(g.fn.Temps[t].Uses, func(id int) bool { return g.part[id] == p })
 }
 
 // insertAt places a queue-op item immediately after (after=true) or before

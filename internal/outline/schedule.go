@@ -1,6 +1,7 @@
 package outline
 
 import (
+	"slices"
 	"sort"
 
 	"fgp/internal/tac"
@@ -126,21 +127,10 @@ func (g *generator) scheduleRegion(region int) {
 		if len(t.Defs) < 2 && !(t.IsParam && len(t.Defs) > 0) {
 			continue
 		}
-		var events []int // instruction ids touching the temp, program order
-		var uses []tac.TempID
-		for _, in := range g.fn.Instrs {
-			uses = uses[:0]
-			uses = in.Uses(uses)
-			touches := in.Dst == tac.TempID(tid)
-			for _, u := range uses {
-				if u == tac.TempID(tid) {
-					touches = true
-				}
-			}
-			if touches {
-				events = append(events, in.ID)
-			}
-		}
+		// Instruction ids touching the temp, in program order.
+		events := slices.Concat(t.Defs, t.Uses)
+		slices.Sort(events)
+		events = slices.Compact(events)
 		for i := 0; i+1 < len(events); i++ {
 			a, ok := projected(events[i])
 			if !ok {

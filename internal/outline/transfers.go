@@ -199,18 +199,9 @@ func (g *generator) planTransfers() error {
 // branch regions whose condition is the transferred temp.
 func (g *generator) consumerRegions(tr *transfer) []int {
 	var regions []int
-	var uses []tac.TempID
-	for _, in := range g.fn.Instrs {
-		if g.part[in.ID] != tr.dst {
-			continue
-		}
-		uses = uses[:0]
-		uses = in.Uses(uses)
-		for _, u := range uses {
-			if u == tr.temp {
-				regions = append(regions, in.Region)
-				break
-			}
+	for _, id := range g.fn.Temps[tr.temp].Uses {
+		if g.part[id] == tr.dst {
+			regions = append(regions, g.fn.Instrs[id].Region)
 		}
 	}
 	for r := range g.materialized[tr.dst] {
@@ -285,20 +276,9 @@ func (g *generator) anchorTransfer(tr *transfer) error {
 			deqSet = true
 		}
 	}
-	var uses []tac.TempID
-	for _, in := range g.fn.Instrs {
-		if g.part[in.ID] != tr.dst {
-			continue
-		}
-		uses = uses[:0]
-		uses = in.Uses(uses)
-		reads := false
-		for _, u := range uses {
-			if u == tr.temp {
-				reads = true
-			}
-		}
-		if !reads {
+	for _, id := range g.fn.Temps[tr.temp].Uses {
+		in := g.fn.Instrs[id]
+		if g.part[id] != tr.dst {
 			continue
 		}
 		if in.Region == tr.region {

@@ -57,9 +57,9 @@ func (s *speculator) rewrite(stmts []ir.Stmt) []ir.Stmt {
 		// Transform inner conditionals first; an if whose branches contain
 		// only speculable inner ifs is still not eligible itself (the inner
 		// rewrite leaves an If for the selects), matching the paper's
-		// restriction to simple branch bodies.
-		iff.Then = s.rewrite(iff.Then)
-		iff.Else = s.rewrite(iff.Else)
+		// restriction to simple branch bodies. The rewrite goes into a copy:
+		// the input loop shares its statements with the output.
+		iff = &ir.If{Src: iff.Src, Cond: iff.Cond, Then: s.rewrite(iff.Then), Else: s.rewrite(iff.Else)}
 		s.res.Candidates++
 
 		hoisted, newIf, ok := s.speculateIf(iff)

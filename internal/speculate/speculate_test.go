@@ -244,6 +244,40 @@ func TestApplyDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestApplyDoesNotMutateNestedIf: rewriting an inner conditional leaves
+// the input's outer If untouched, so one loop speculated twice yields the
+// same output both times. Callers such as fgpd and the fuzz oracle compile
+// one loop object many times.
+func TestApplyDoesNotMutateNestedIf(t *testing.T) {
+	l := dataLoop(func(b *ir.Builder) {
+		i := b.Idx()
+		c1 := b.Def("c1", ir.GtE(ir.LDF("a", i), ir.F(0)))
+		b.If(c1, func() {
+			c2 := b.Def("c2", ir.LtE(ir.LDF("a", i), ir.F(2)))
+			b.If(c2, func() {
+				b.Def("v", ir.F(1))
+			}, func() {
+				b.Def("v", ir.F(2))
+			})
+		}, func() {
+			b.Def("v", ir.F(3))
+		})
+		b.StoreF("o", i, b.T("v"))
+	})
+	before := ir.Print(l)
+	first, _ := Apply(l)
+	if after := ir.Print(l); after != before {
+		t.Fatalf("Apply mutated the input loop:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	second, res := Apply(l)
+	if res.Transformed != 1 {
+		t.Errorf("second Apply transformed %d ifs, want 1", res.Transformed)
+	}
+	if a, b := ir.Print(first), ir.Print(second); a != b {
+		t.Errorf("second Apply differs from the first:\nfirst:\n%s\nsecond:\n%s", a, b)
+	}
+}
+
 func TestEmptyElseBranch(t *testing.T) {
 	l := dataLoop(func(b *ir.Builder) {
 		i := b.Idx()

@@ -5,6 +5,11 @@
 // region that directly contains it. All later passes — fiber partitioning,
 // dependence analysis, code-graph merging, scheduling and code generation —
 // operate on this form.
+//
+// Every temp indexes its writers (TempInfo.Defs) and its readers
+// (TempInfo.Uses) in program order, kept by Fn.Emit. Dependence analysis
+// and the outliner walk one temp's readers instead of rescanning the
+// function, which keeps those passes linear in its size.
 package tac
 
 import (
@@ -24,10 +29,11 @@ const None TempID = -1
 type TempInfo struct {
 	Name    string // original name for named temps, ".tN" for generated ones
 	K       ir.Kind
-	Named   bool // declared in the source (survives across statements)
-	IsIndex bool // the loop induction variable (replicated on every core)
-	IsParam bool // read-only region parameter (transferred at region entry)
-	Defs    []int
+	Named   bool  // declared in the source (survives across statements)
+	IsIndex bool  // the loop induction variable (replicated on every core)
+	IsParam bool  // read-only region parameter (transferred at region entry)
+	Defs    []int // instructions that write the temp, in program order
+	Uses    []int // instructions that read it, in program order, each once
 }
 
 // OpKind classifies a TAC instruction.
@@ -155,7 +161,8 @@ func (f *Fn) NewTemp(info TempInfo) TempID {
 	return id
 }
 
-// Emit appends an instruction, assigning its ID and recording the def.
+// Emit appends an instruction, assigning its ID and recording its def and
+// its reads. Operands never change after emission, so Uses stays exact.
 func (f *Fn) Emit(in Instr) *Instr {
 	in.ID = len(f.Instrs)
 	in.Fiber = -1
@@ -163,6 +170,12 @@ func (f *Fn) Emit(in Instr) *Instr {
 	f.Instrs = append(f.Instrs, p)
 	if in.Dst != None {
 		f.Temps[in.Dst].Defs = append(f.Temps[in.Dst].Defs, in.ID)
+	}
+	var buf [2]TempID
+	for i, u := range p.Uses(buf[:0]) {
+		if i == 0 || u != buf[0] {
+			f.Temps[u].Uses = append(f.Temps[u].Uses, in.ID)
+		}
 	}
 	return p
 }
