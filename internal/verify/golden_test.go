@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fgp/internal/core"
+	"fgp/internal/frontend"
 	"fgp/internal/fuzz"
 	"fgp/internal/ir"
 	"fgp/internal/isa"
@@ -115,22 +116,23 @@ var mutations = []mutation{
 	}},
 }
 
-// goldenLoops is the golden corpus: the tier-1 kernels, the tier-2 kernels
-// and goldenSeeds generated loops.
-func goldenLoops(t *testing.T) []*ir.Loop {
-	t.Helper()
+// goldenLoops is the golden corpus: the tier-1 kernels, the tier-2 kernels,
+// goldenSeeds generated loops and testdata/far_carried.fgp, whose carried
+// dependence lies beyond the abstract horizon.
+func goldenLoops(tb testing.TB) []*ir.Loop {
+	tb.Helper()
 	var loops []*ir.Loop
 	for _, k := range kernels.All() {
 		loops = append(loops, k.Build())
 	}
 	t2, err := tier2.All()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, k := range t2 {
 		l, err := k.Build()
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		loops = append(loops, l)
 	}
@@ -139,7 +141,15 @@ func goldenLoops(t *testing.T) []*ir.Loop {
 		l.Name = fmt.Sprintf("gen-%d", seed)
 		loops = append(loops, l)
 	}
-	return loops
+	src, err := os.ReadFile("testdata/far_carried.fgp")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l, err := frontend.Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(loops, l)
 }
 
 // diagLine renders one case: "ok", or the count and every diagnostic.
@@ -244,4 +254,26 @@ func compileLoop(l *ir.Loop, cores int) (*core.Artifact, verify.Input, error) {
 		Deps:     art.Deps,
 		Parts:    art.Parts,
 	}, nil
+}
+
+// BenchmarkCheck times the verifier over the golden corpus's program sets
+// as compiled, the shape every compile and search candidate presents.
+func BenchmarkCheck(b *testing.B) {
+	var ins []verify.Input
+	for _, l := range goldenLoops(b) {
+		for _, cores := range []int{2, 3, 4} {
+			if _, in, err := compileLoop(l, cores); err == nil {
+				ins = append(ins, in)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, in := range ins {
+			if err := verify.Check(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
