@@ -31,6 +31,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -188,14 +189,14 @@ func main() {
 	against := flag.String("against", "BENCH_sim.json", "committed report the -gate check compares against")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the timed sweeps to this file")
 	flag.Parse()
-	if *repeats < 1 {
-		fatal(fmt.Errorf("repeats must be >= 1"))
-	}
-
 	modes := []Mode{
 		{Name: "reference-serial", Engine: sim.EngineReference, Workers: 1},
 		{Name: "threaded-serial", Engine: sim.EngineThreaded, Workers: 1},
 		{Name: "threaded-parallel", Engine: sim.EngineThreaded, Workers: *workers},
+	}
+	if err := checkFlags(flag.Args(), modes, *repeats, *workers, *searchBudget, *gate, *once); err != nil {
+		fmt.Fprintln(os.Stderr, "fgpbench:", err)
+		os.Exit(2)
 	}
 
 	if *once != "" {
@@ -209,7 +210,6 @@ func main() {
 				return
 			}
 		}
-		fatal(fmt.Errorf("unknown mode %q", *once))
 	}
 
 	simCycles, err := totalSimCycles()
@@ -264,14 +264,14 @@ func main() {
 		}
 	}
 	if len(baseRuns) > 0 {
-		*baseNs = min64(baseRuns)
+		*baseNs = slices.Min(baseRuns)
 	}
-	refCold := float64(min64(modes[0].ColdRun))
-	refWarm := float64(min64(modes[0].WarmRun))
+	refCold := float64(slices.Min(modes[0].ColdRun))
+	refWarm := float64(slices.Min(modes[0].WarmRun))
 	for i := range modes {
 		m := &modes[i]
-		m.ColdNs = min64(m.ColdRun)
-		m.WarmNs = min64(m.WarmRun)
+		m.ColdNs = slices.Min(m.ColdRun)
+		m.WarmNs = slices.Min(m.WarmRun)
 		m.SpeedupCold = refCold / float64(m.ColdNs)
 		m.SpeedupWarm = refWarm / float64(m.WarmNs)
 		m.NsPerSimCycle = float64(m.WarmNs) / float64(simCycles)
@@ -572,14 +572,28 @@ func runBaseline(cmdline string) (int64, error) {
 	return ns, nil
 }
 
-func min64(xs []int64) int64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
+// checkFlags rejects flag values no sweep can run with, before any sweep
+// starts; main exits 2 on its error.
+func checkFlags(args []string, modes []Mode, repeats, workers, searchBudget int, gate float64, once string) error {
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = m.Name
 	}
-	return m
+	switch {
+	case len(args) > 0:
+		return fmt.Errorf("unexpected argument %q (fgpbench takes only flags)", args[0])
+	case repeats < 1:
+		return fmt.Errorf("-repeats must be >= 1 (got %d)", repeats)
+	case workers < 0:
+		return fmt.Errorf("-workers must be >= 0 (got %d)", workers)
+	case searchBudget < 0:
+		return fmt.Errorf("-search-budget must be >= 0 (got %d)", searchBudget)
+	case !(gate >= 0):
+		return fmt.Errorf("-gate must be >= 0 (got %v)", gate)
+	case once != "" && !slices.Contains(names, once):
+		return fmt.Errorf("-once: unknown mode %q (have %s)", once, strings.Join(names, ", "))
+	}
+	return nil
 }
 
 func fatal(err error) {

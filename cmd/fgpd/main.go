@@ -50,6 +50,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Reject what service.Config would otherwise silently turn into a
+	// default, before listening.
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "fgpd: "+format+"\n", args...)
+		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected argument %q (fgpd takes only flags)", fs.Arg(0))
+	case *workers < 0:
+		return usage("-workers must be >= 0 (got %d)", *workers)
+	case *queueDepth < 0:
+		return usage("-queue-depth must be >= 0 (got %d)", *queueDepth)
+	case *timeout < 0:
+		return usage("-timeout must be >= 0 (got %v)", *timeout)
+	case *drainTimeout < 0:
+		return usage("-drain-timeout must be >= 0 (got %v)", *drainTimeout)
+	case *storeMaxBytes < 0:
+		return usage("-store-max-bytes must be >= 0 (got %d)", *storeMaxBytes)
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fgpd:", err)
 		return 1

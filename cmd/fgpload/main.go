@@ -238,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(rep.Open) > 0 && rep.PeakClosedRPS > 0 {
 		best := rep.Open[0]
 		for _, p := range rep.Open[1:] {
-			if abs(p.OfferedRPS-rep.PeakClosedRPS/2) < abs(best.OfferedRPS-rep.PeakClosedRPS/2) {
+			if math.Abs(p.OfferedRPS-rep.PeakClosedRPS/2) < math.Abs(best.OfferedRPS-rep.PeakClosedRPS/2) {
 				best = p
 			}
 		}
@@ -698,11 +698,4 @@ func parseInts(list string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -209,16 +209,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stalls := pres.enqStalls[c] + pres.deqStalls[c]
 		busy := pres.perCore[c] - stalls
 		fmt.Fprintf(stdout, "  core %d: %8d cycles = %8d busy + %7d queue stall (%.0f%% utilized)\n",
-			c, pres.perCore[c], busy, stalls, 100*float64(busy)/float64(max64(pres.perCore[c], 1)))
+			c, pres.perCore[c], busy, stalls, 100*float64(busy)/float64(max(pres.perCore[c], 1)))
 	}
 	return 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // truncWriter forwards whole lines until the limit is reached, then drops

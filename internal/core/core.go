@@ -297,12 +297,6 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 		return nil, err
 	}
 
-	// Build the threaded engine's basic-block translation now, from the
-	// programs static verification just accepted. The translation cache is
-	// content-addressed, so every later simulation of this artifact — and of
-	// any identical artifact compiled elsewhere — starts warm.
-	sim.PrecompileThreaded(compiled.Programs, mc.Cost)
-
 	a := &Artifact{
 		Loop: l, Source: src, Fn: fn, Fibers: set, Deps: info,
 		Parts: parts, Compiled: compiled, machine: mc,

@@ -8,6 +8,7 @@ package isa
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"fgp/internal/ir"
 )
@@ -97,6 +98,11 @@ type Mark struct {
 }
 
 // Program is the code image for one core.
+//
+// A Program must not change once it has been simulated: the simulator
+// keeps its translations of the program on the program itself (see
+// Engine), built on first simulation and never checked against the
+// instructions again.
 type Program struct {
 	Core   int
 	Instrs []Instr
@@ -109,7 +115,21 @@ type Program struct {
 	// Marks lists region boundaries for observability, in the order they
 	// should fire when several share one PC.
 	Marks []Mark
+
+	engine atomic.Value
+	_      noCopy
 }
+
+// noCopy makes go vet's copylocks check flag a Program copied by value: a
+// copy would share the original's translations whatever is done to it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// Engine returns the slot the simulator keeps its translations of p in,
+// so that they live exactly as long as p does. Nothing else uses it.
+func (p *Program) Engine() *atomic.Value { return &p.engine }
 
 // Append adds an instruction and returns its index.
 func (p *Program) Append(in Instr) int {

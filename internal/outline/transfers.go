@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fgp/internal/ir"
 	"fgp/internal/tac"
 )
 
@@ -306,6 +305,3 @@ func (g *generator) anchorTransfer(tr *transfer) error {
 	tr.deqBefore = deq
 	return nil
 }
-
-// class returns whether a kind maps to the FPR or GPR queue class.
-func classOf(k ir.Kind) ir.Kind { return k }

@@ -43,21 +43,18 @@
 // core one reference step per scheduler pick, so eligibility is purely a
 // performance property — never a correctness one.
 //
-// Compiled tprogs are immutable and cached content-addressed (program text
-// + cost table), so fgpd's singleflight compile cache and the experiment
-// runner's artifact cache warm-start the translation for free across
-// simulations of the same artifact.
+// Compiled tprogs are immutable. Each program owns its translations, one
+// per cost table, built on its first simulation under that table (see
+// threadedFor), so a cached artifact starts warm on every later run and a
+// dropped one takes its translations with it.
 
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"fgp/internal/cost"
 	"fgp/internal/ir"
@@ -924,149 +921,59 @@ func checkDefiniteAssignment(p *isa.Program, tp *tprog) string {
 }
 
 // ---------------------------------------------------------------------------
-// Content-addressed compile cache
+// Per-program translations
 
-// tcacheCap bounds the package-level compile cache. FIFO eviction: the
-// cache exists to warm-start repeated simulations of the same artifacts
-// (fgpd's compile cache, the experiment runner, benchmark repeats), all of
-// which re-request recent keys.
-const tcacheCap = 512
+// maxTranslations bounds the translations one program keeps, one per cost
+// table it was simulated under. Sweeps vary the L1 and enq/deq costs at
+// run time, so an artifact can meet several tables; past the bound the
+// oldest translation is dropped and rebuilt if its table comes back.
+const maxTranslations = 8
 
-var tcache = struct {
-	sync.Mutex
-	m     map[[32]byte]*tprog
-	order [][32]byte
-}{m: map[[32]byte]*tprog{}}
-
-// tkey hashes everything the translation depends on: the instruction
-// stream, register count, region-mark pcs (leader rules), live-out names
-// (halt materialization) and the cost table (folded charges).
-func tkey(p *isa.Program, t cost.Table) [32]byte {
-	h := sha256.New()
-	var buf [8]byte
-	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wi(int64(p.NRegs))
-	wi(int64(len(p.Instrs)))
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		wi(int64(in.Op))
-		wi(int64(in.BinOp))
-		wi(int64(in.UnOp))
-		wi(int64(in.K))
-		wi(int64(in.Dst))
-		wi(int64(in.A))
-		wi(int64(in.B))
-		wi(int64(math.Float64bits(in.ImmF)))
-		wi(in.ImmI)
-		wi(int64(in.Arr))
-		wi(int64(in.Q))
-		wi(int64(in.Tgt))
-		wi(int64(in.Edge))
-		wi(int64(in.Tac))
-	}
-	wi(int64(len(p.Marks)))
-	for _, mk := range p.Marks {
-		wi(int64(mk.PC))
-	}
-	named := make([]isa.Reg, 0, len(p.RegName))
-	for r := range p.RegName {
-		named = append(named, r)
-	}
-	sort.Slice(named, func(i, j int) bool { return named[i] < named[j] })
-	wi(int64(len(named)))
-	for _, r := range named {
-		wi(int64(r))
-	}
-	for _, v := range []int64{
-		t.IntALU, t.IntMul, t.IntDiv, t.FAdd, t.FMul, t.FDiv, t.FSqrt,
-		t.FMath, t.Cvt, t.Mov, t.Const, t.Branch, t.Store, t.L1Hit,
-		t.L1Miss, t.Enq, t.Deq,
-	} {
-		wi(v)
-	}
-	var key [32]byte
-	h.Sum(key[:0])
-	return key
+// tset is the content of a program's Engine slot: its translations, oldest
+// first. A published tset never changes; adding a translation publishes a
+// new one.
+type tset struct {
+	entries []tentry
 }
 
-// tptrCache short-circuits threadedFor for a program pointer already seen
-// with the same cost table: artifacts are immutable, so pointer identity
-// plus an equal (comparable, all-scalar) cost table proves the cached
-// translation is the right one without rehashing the program every Run.
-//
-// Unlike the content cache it is keyed by pointer, so every freshly
-// compiled artifact adds an entry that can never be hit again once the
-// artifact is dropped — unbounded, it pins dead programs and their
-// translations for the life of the process (and its GC scan cost grows
-// with every cold compile). tptrCount bounds it: past tptrCap the whole
-// map is discarded and rebuilt, which at worst costs one content-key hash
-// per live program on the next Run.
-var (
-	tptrCache sync.Map // *isa.Program -> *tptrEntry
-	tptrCount atomic.Int64
-)
-
-const tptrCap = 1024
-
-type tptrEntry struct {
+type tentry struct {
 	t  cost.Table
 	tp *tprog
 }
 
-// threadedFor returns the cached translation of p under cost table t,
-// compiling (outside the lock) on a miss.
+// threadedFor returns p's translation under cost table t, building it on
+// first use. The lookup takes no lock: two simultaneous first uses may
+// both build, and the translation published first is the one kept.
 func threadedFor(p *isa.Program, t cost.Table) *tprog {
-	if e, ok := tptrCache.Load(p); ok {
-		if ent := e.(*tptrEntry); ent.t == t {
-			return ent.tp
+	slot := p.Engine()
+	var tp *tprog
+	for {
+		raw := slot.Load()
+		var have []tentry
+		if cur, ok := raw.(*tset); ok {
+			have = cur.entries
+		}
+		for _, e := range have {
+			if e.t == t {
+				return e.tp
+			}
+		}
+		if tp == nil {
+			tp = compileThreaded(p, t)
+		}
+		// Clip, so the append copies instead of writing into the
+		// published set's array.
+		keep := slices.Clip(have[max(0, len(have)-maxTranslations+1):])
+		if slot.CompareAndSwap(raw, &tset{entries: append(keep, tentry{t: t, tp: tp})}) {
+			return tp
 		}
 	}
-	key := tkey(p, t)
-	tcache.Lock()
-	if tp, ok := tcache.m[key]; ok {
-		tcache.Unlock()
-		return tp
-	}
-	tcache.Unlock()
-
-	tp := compileThreaded(p, t)
-
-	tcache.Lock()
-	if existing, ok := tcache.m[key]; ok {
-		tp = existing // a concurrent compile won the race; share its result
-	} else {
-		if len(tcache.order) >= tcacheCap {
-			oldest := tcache.order[0]
-			tcache.order = tcache.order[1:]
-			delete(tcache.m, oldest)
-		}
-		tcache.m[key] = tp
-		tcache.order = append(tcache.order, key)
-	}
-	tcache.Unlock()
-	if tptrCount.Add(1) > tptrCap {
-		// Reset rather than evict: sync.Map has no cheap LRU, and a full
-		// rebuild is one content-cache hit per live program. Racing
-		// stores may survive the sweep or be dropped; either is correct
-		// for a cache, and the counter only needs to be approximate.
-		tptrCache.Range(func(k, _ any) bool {
-			tptrCache.Delete(k)
-			return true
-		})
-		tptrCount.Store(0)
-	}
-	tptrCache.Store(p, &tptrEntry{t: t, tp: tp})
-	return tp
 }
 
-// PrecompileThreaded populates the threaded engine's translation cache for
-// the given programs, so the first threaded simulation of a freshly
-// compiled artifact starts warm. The compiler driver calls it right after
-// static verification succeeds: closures are only ever built from verified
-// programs.
+// PrecompileThreaded builds each program's translation under t ahead of
+// its first simulation. The pipeline does not call it — a program builds
+// its translation when it is first simulated — but the benchmark's replay
+// does, to time translation as a stage of its own.
 func PrecompileThreaded(progs []*isa.Program, t cost.Table) {
 	for _, p := range progs {
 		if p != nil {

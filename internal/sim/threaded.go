@@ -78,8 +78,9 @@ type tcore struct {
 	stale bool // typed files must be rehydrated from c.regs before use
 }
 
-// tinit compiles (or fetches from the content-addressed cache) every
-// per-core program and binds the machine's memory arrays. Cores whose
+// tinit fetches every per-core program's translation (building it on the
+// program's first simulation under this cost table) and binds the
+// machine's memory arrays. Cores whose
 // programs are ineligible simply keep a nil tcore and run on the reference
 // step.
 func (m *Machine) tinit() {

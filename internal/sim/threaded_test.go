@@ -2,8 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"fgp/internal/ir"
 	"fgp/internal/isa"
@@ -322,9 +325,9 @@ func TestThreadedDeqKindDeoptMatchesReference(t *testing.T) {
 	}
 }
 
-// TestThreadedTranslationCache pins both cache layers: pointer identity
-// short-circuits recompilation, structural equality shares through the
-// content-addressed cache, and a different cost table recompiles.
+// TestThreadedTranslationCache pins translation ownership: a program
+// keeps one translation per cost table, a structurally equal but distinct
+// program builds its own, and a different cost table builds another.
 func TestThreadedTranslationCache(t *testing.T) {
 	mk := func() *isa.Program {
 		return prog(0,
@@ -339,14 +342,122 @@ func TestThreadedTranslationCache(t *testing.T) {
 		t.Fatalf("ineligible: %s", tp1.reason)
 	}
 	if tp2 := threadedFor(p, ct); tp2 != tp1 {
-		t.Error("same pointer + same cost table must hit the pointer cache")
+		t.Error("same program + same cost table must return the program's translation")
 	}
-	if tp3 := threadedFor(mk(), ct); tp3 != tp1 {
-		t.Error("structurally equal program must share through the content cache")
+	if tp3 := threadedFor(mk(), ct); tp3 == tp1 {
+		t.Error("a distinct program must own its own translation")
 	}
 	ct2 := ct
 	ct2.IntALU += 1
-	if tp4 := threadedFor(p, ct2); tp4 == tp1 {
+	tp4 := threadedFor(p, ct2)
+	if tp4 == tp1 {
 		t.Error("different cost table must not share a translation")
+	}
+	if threadedFor(p, ct) != tp1 || threadedFor(p, ct2) != tp4 {
+		t.Error("a program must keep the translation of every table it met")
+	}
+}
+
+// TestThreadedTranslationBound runs one program set under more distinct
+// cost tables than a program keeps translations for: each program holds at
+// most maxTranslations, and every run still equals the reference engine's.
+func TestThreadedTranslationBound(t *testing.T) {
+	progs := []*isa.Program{sumLoop(0), sumLoop(1)}
+	for round := range 2 {
+		for i := range maxTranslations + 3 {
+			cfg := DefaultConfig(2)
+			cfg.Cost.L1Miss += int64(i)
+			ref, _ := runOn(t, progs, sumMemory, cfg, EngineReference)
+			thr, _ := runOn(t, progs, sumMemory, cfg, EngineThreaded)
+			if !reflect.DeepEqual(thr, ref) {
+				t.Fatalf("round %d, table %d: results diverge:\n  threaded  %+v\n  reference %+v", round, i, thr, ref)
+			}
+		}
+	}
+	for i, p := range progs {
+		if n := len(p.Engine().Load().(*tset).entries); n > maxTranslations {
+			t.Errorf("program %d keeps %d translations, bound is %d", i, n, maxTranslations)
+		}
+	}
+}
+
+// TestThreadedConcurrentFirstUse simulates one fresh program set from many
+// goroutines at once, so the first uses race to build and publish the
+// translations (run it under -race). Every run must give the same result.
+func TestThreadedConcurrentFirstUse(t *testing.T) {
+	progs := []*isa.Program{sumLoop(0), sumLoop(1)}
+	cfg := DefaultConfig(2)
+	const n = 8
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := New(progs, sumMemory(), cfg)
+			if err == nil {
+				results[g], err = m.Run()
+			}
+			errs[g] = err
+		}()
+	}
+	wg.Wait()
+	for g := range n {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(results[g], results[0]) {
+			t.Errorf("goroutine %d: result %+v, goroutine 0: %+v", g, results[g], results[0])
+		}
+	}
+	for i, p := range progs {
+		if threadedFor(p, cfg.Cost) != threadedFor(p, cfg.Cost) {
+			t.Errorf("program %d: no single translation kept after the race", i)
+		}
+	}
+}
+
+// TestThreadedTranslationCollected drops a simulated program and requires
+// the garbage collector to reclaim it and its translation: nothing outside
+// the program may keep either alive. (Finalizers rather than
+// runtime.AddCleanup, which is newer than go.mod's go line.)
+func TestThreadedTranslationCollected(t *testing.T) {
+	progDone, tpDone := make(chan struct{}), make(chan struct{})
+	func() {
+		p := sumLoop(0)
+		m, err := New([]*isa.Program{p}, sumMemory(), DefaultConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tp := threadedFor(p, DefaultConfig(1).Cost)
+		if !tp.ok {
+			t.Fatalf("sumLoop must be eligible: %s", tp.reason)
+		}
+		runtime.SetFinalizer(p, func(*isa.Program) { close(progDone) })
+		runtime.SetFinalizer(tp, func(*tprog) { close(tpDone) })
+	}()
+	for _, c := range []struct {
+		what string
+		done chan struct{}
+	}{{"program", progDone}, {"translation", tpDone}} {
+		collected := false
+		for range 50 {
+			runtime.GC()
+			select {
+			case <-c.done:
+				collected = true
+			case <-time.After(10 * time.Millisecond):
+			}
+			if collected {
+				break
+			}
+		}
+		if !collected {
+			t.Errorf("the dropped %s was never collected", c.what)
+		}
 	}
 }

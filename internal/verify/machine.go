@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fgp/internal/interp"
@@ -98,14 +99,22 @@ type okey struct {
 	iter int32
 }
 
-// evRec is one clock-stamped execution of a memory instruction. Worlds keep
-// these in an append-only log (not a map) so a fork shares the parent's
-// prefix for free; checkTokens folds the log into a lookup map once per
-// completed path, with later records for the same key winning — the same
-// overwrite semantics a map would have had.
+// evRec is one clock-stamped execution of a memory instruction: its row of
+// the event table (checker.evSlot), the iteration it ran in, and a slab
+// snapshot of the core's clock. Worlds keep these in an append-only log
+// (not a map) so a fork shares the parent's prefix for free; checkTokens
+// indexes the log into the checker's event table once per completed path,
+// with later records for the same cell winning — the same overwrite
+// semantics a map would have had.
 type evRec struct {
-	k  evKey
-	vc []int64
+	slot, iter int32
+	vc         []int64
+}
+
+// primed counts one (queue, edge) pair's enqueues before the sender's loop.
+type primed struct {
+	qe qedge
+	n  int
 }
 
 // world is one explored control path of the joint abstract execution.
@@ -114,8 +123,10 @@ type evRec struct {
 // hottest operation, so the per-world state is laid out for cheap copying:
 // queues and the phase counters are dense slices indexed by queue id
 // (capacity-clamped slice headers and flat memcpys instead of map
-// iteration), and the event log is shared copy-on-write. Only the branch
-// oracle and the sparse primed-edge tallies stay maps.
+// iteration), the primed tallies are a short flat list, and the event log
+// is shared copy-on-write. Clock snapshots in queue entries and event
+// records come from the checker's slab and never change, so forks share
+// them too. Only the branch oracle stays a map.
 type world struct {
 	cores  []coreState
 	queues [][]qentry    // queue id -> in-flight entries
@@ -124,10 +135,9 @@ type world struct {
 
 	// Path-local communication counters, folded into the checker's
 	// monotone aggregates when the world finishes.
-	prePushW []int // queue id -> enqueues before the sender's loop
-	prePopW  []int // queue id -> dequeues before the receiver's loop
-	primedW  []map[int32]int
-	curPush  []int
+	prePushW []int    // queue id -> enqueues before the sender's loop
+	prePopW  []int    // queue id -> dequeues before the receiver's loop
+	primedW  []primed // in first-enqueue order
 
 	steps int
 	dead  bool // a fatal diagnostic fired; skip completion checks
@@ -139,8 +149,6 @@ func newWorld(c *checker) *world {
 		oracle:   map[okey]bool{},
 		prePushW: make([]int, c.nq),
 		prePopW:  make([]int, c.nq),
-		primedW:  make([]map[int32]int, c.nq),
-		curPush:  make([]int, c.nq),
 	}
 	n := len(c.in.Programs)
 	w.cores = make([]coreState, n)
@@ -174,8 +182,7 @@ func (w *world) clone() *world {
 		oracle:   make(map[okey]bool, len(w.oracle)+1),
 		prePushW: append([]int(nil), w.prePushW...),
 		prePopW:  append([]int(nil), w.prePopW...),
-		curPush:  append([]int(nil), w.curPush...),
-		primedW:  make([]map[int32]int, len(w.primedW)),
+		primedW:  append([]primed(nil), w.primedW...),
 		steps:    w.steps,
 	}
 	for i, cs := range w.cores {
@@ -191,16 +198,6 @@ func (w *world) clone() *world {
 	}
 	for k, v := range w.oracle {
 		nw.oracle[k] = v
-	}
-	for q, m := range w.primedW {
-		if m == nil {
-			continue
-		}
-		cm := make(map[int32]int, len(m))
-		for e, n := range m {
-			cm[e] = n
-		}
-		nw.primedW[q] = cm
 	}
 	return nw
 }
@@ -241,48 +238,47 @@ func (w *world) run(c *checker) {
 // foldAll flushes the world's communication counters into the checker's
 // monotone aggregates.
 func (w *world) foldAll(c *checker) {
-	for ci := range w.cores {
-		w.foldIter(c, ci)
-	}
 	for q, n := range w.prePushW {
-		if n > c.prePush[int32(q)] {
-			c.prePush[int32(q)] = n
-		}
+		c.prePush[q] = max(c.prePush[q], n)
 	}
 	for q, n := range w.prePopW {
-		if n > c.prePop[int32(q)] {
-			c.prePop[int32(q)] = n
-		}
+		c.prePop[q] = max(c.prePop[q], n)
 	}
-	for q, m := range w.primedW {
-		if m == nil {
-			continue
-		}
-		gm := c.primedEdge[int32(q)]
-		if gm == nil {
-			gm = map[int32]int{}
-			c.primedEdge[int32(q)] = gm
-		}
-		for e, n := range m {
-			if n > gm[e] {
-				gm[e] = n
-			}
+	for _, p := range w.primedW {
+		if p.n > c.primedEdge[p.qe] {
+			c.primedEdge[p.qe] = p.n
 		}
 	}
 }
 
-// foldIter closes the current iteration's enqueue counts for every queue
-// core ci sends on.
-func (w *world) foldIter(c *checker, ci int) {
-	for q, n := range w.curPush {
-		if n == 0 || c.qSrc(int32(q)) != ci {
-			continue
+// countPrimed tallies one pre-loop enqueue of edge on queue q.
+func (w *world) countPrimed(q, edge int32) {
+	qe := qedge{q, edge}
+	for i := range w.primedW {
+		if w.primedW[i].qe == qe {
+			w.primedW[i].n++
+			return
 		}
-		if n > c.maxIterPush[int32(q)] {
-			c.maxIterPush[int32(q)] = n
-		}
-		w.curPush[q] = 0
 	}
+	w.primedW = append(w.primedW, primed{qe: qe, n: 1})
+}
+
+// queueGrowth is the smallest capacity an entry slice is regrown to.
+const queueGrowth = 8
+
+// enqueue appends e to a queue's in-flight entries. Dequeues advance the
+// slice head, so a queue that holds few entries at a time runs out of
+// capacity on almost every enqueue; regrowing with headroom keeps that to
+// one allocation per several enqueues. A forked world's entries are
+// capacity-clamped (see clone), so neither side ever appends into the
+// other's view.
+func enqueue(ents []qentry, e qentry) []qentry {
+	if len(ents) == cap(ents) {
+		grown := make([]qentry, len(ents), max(2*len(ents), queueGrowth))
+		copy(grown, ents)
+		ents = grown
+	}
+	return append(ents, e)
 }
 
 // jumpTo moves core ci to newpc, tracking loop iterations and phases.
@@ -291,13 +287,11 @@ func (w *world) jumpTo(c *checker, ci, newpc int) {
 	li := c.loops[ci]
 	if li.head >= 0 {
 		if newpc == li.head {
-			w.foldIter(c, ci)
 			cs.iter++
 			if cs.phase == 0 {
 				cs.phase = 1
 			}
 		} else if cs.phase == 1 && (newpc < li.head || newpc > li.latch) {
-			w.foldIter(c, ci)
 			cs.phase = 2
 		}
 	}
@@ -320,29 +314,27 @@ func (w *world) write(cs *coreState, r isa.Reg, v aval) {
 
 // checkProv validates a symbolic operand against the TAC use-def relation:
 // the consuming instruction must actually use the temp the operand's
-// producer defines.
+// producer defines. The temp's reader index (tac.TempInfo.Uses) lists its
+// readers in program order, so the lookup is a binary search.
 func (w *world) checkProv(c *checker, ci, pc int, in *isa.Instr, v aval) {
-	if v.conc || v.orig < 0 || in.Tac < 0 || c.in.Fn == nil {
+	fn := c.in.Fn
+	if v.conc || v.orig < 0 || in.Tac < 0 || fn == nil {
 		return
 	}
-	if int(in.Tac) >= len(c.uses) || int(v.orig) >= len(c.defTemp) {
+	if int(in.Tac) >= len(fn.Instrs) || int(v.orig) >= len(fn.Instrs) {
 		return
 	}
-	dt := c.defTemp[v.orig]
+	dt := fn.Instrs[v.orig].Dst
 	if dt < 0 {
 		return
 	}
-	for _, u := range c.uses[in.Tac] {
-		if u == dt {
-			return
-		}
+	if _, used := slices.BinarySearch(fn.Temps[dt].Uses, int(in.Tac)); used {
+		return
 	}
 	c.report(Diagnostic{Check: "provenance", Core: ci, PC: pc, Queue: -1, Edge: -1,
 		Msg: fmt.Sprintf("instruction (tac %d) consumes the value of tac %d (temp %s), which it does not use — a transfer delivered the wrong value",
 			in.Tac, v.orig, c.in.Fn.TempName(dt))})
 }
-
-func copyVC(vc []int64) []int64 { return append([]int64(nil), vc...) }
 
 // runCore executes core ci until it halts or blocks on a queue. Returns
 // whether at least one instruction executed.
@@ -437,24 +429,13 @@ func (w *world) runCore(c *checker, ci int) bool {
 			cs.pc++
 		case isa.Enq:
 			v := w.read(cs, in.A)
-			w.queues[in.Q] = append(w.queues[in.Q], qentry{edge: in.Edge, v: v, vc: copyVC(cs.vc)})
+			w.queues[in.Q] = enqueue(w.queues[in.Q], qentry{edge: in.Edge, v: v, vc: c.snapshot(cs.vc)})
 			switch cs.phase {
 			case 0:
 				w.prePushW[in.Q]++
-				pm := w.primedW[in.Q]
-				if pm == nil {
-					pm = map[int32]int{}
-					w.primedW[in.Q] = pm
-				}
-				pm[in.Edge]++
+				w.countPrimed(in.Q, in.Edge)
 			case 1:
-				w.curPush[in.Q]++
-				lp := c.loopPush[in.Q]
-				if lp == nil {
-					lp = map[int32]bool{}
-					c.loopPush[in.Q] = lp
-				}
-				lp[in.Edge] = true
+				c.loopPush[qedge{in.Q, in.Edge}] = true
 			}
 			cs.pc++
 		case isa.Deq:
@@ -478,12 +459,7 @@ func (w *world) runCore(c *checker, ci int) bool {
 			case 0:
 				w.prePopW[in.Q]++
 			case 1:
-				lp := c.loopPop[in.Q]
-				if lp == nil {
-					lp = map[int32]bool{}
-					c.loopPop[in.Q] = lp
-				}
-				lp[in.Edge] = true
+				c.loopPop[qedge{in.Q, in.Edge}] = true
 			}
 			cs.pc++
 		case isa.Fjp:
@@ -565,13 +541,11 @@ func (w *world) runCore(c *checker, ci int) bool {
 }
 
 func (w *world) recordEvent(c *checker, ci int, in *isa.Instr) {
-	if in.Tac < 0 || !c.needEv[in.Tac] {
+	if in.Tac < 0 || int(in.Tac) >= len(c.evSlot) || c.evSlot[in.Tac] < 0 {
 		return
 	}
-	w.events = append(w.events, evRec{
-		k:  evKey{tac: in.Tac, iter: w.cores[ci].iter},
-		vc: copyVC(w.cores[ci].vc),
-	})
+	cs := &w.cores[ci]
+	w.events = append(w.events, evRec{slot: c.evSlot[in.Tac], iter: cs.iter, vc: c.snapshot(cs.vc)})
 }
 
 // deadlock reports the stuck state: every unfinished core and the
@@ -671,62 +645,32 @@ func plural(n int, one, many string) string {
 // checkTokens verifies every cross-core memory dependence is ordered by a
 // happens-before chain through the queues at its dependence distance.
 func (w *world) checkTokens(c *checker) {
-	if len(c.memEdges) == 0 {
+	if len(c.obligations) == 0 {
 		return
 	}
-	// Fold the append-only event log into a lookup map; a later record for
-	// the same (tac, iter) wins, preserving the overwrite semantics the log
-	// replaced.
-	events := make(map[evKey][]int64, len(w.events))
+	// Index the append-only event log by (instruction, iteration); a later
+	// record for the same cell wins, preserving the overwrite semantics
+	// the log replaced.
+	tab := c.evTab
+	clear(tab)
 	for _, r := range w.events {
-		events[r.k] = r.vc
+		if r.iter >= 1 && r.iter <= c.nIter {
+			tab[r.slot*c.nIter+r.iter-1] = r.vc
+		}
 	}
-	for _, e := range c.memEdges {
-		type pair struct {
-			aTac, bTac int32
-			ak, bk     int32
+	for _, o := range c.obligations {
+		va, vb := tab[o.a], tab[o.b]
+		if va == nil || vb == nil {
+			continue // one side did not execute on this path
 		}
-		var pairs []pair
-		switch {
-		case !e.Carried:
-			for k := int32(1); k <= c.nIter; k++ {
-				pairs = append(pairs, pair{int32(e.From), int32(e.To), k, k})
-			}
-		case e.MemKnown:
-			dist := e.MemDist
-			from, to := int32(e.From), int32(e.To)
-			if dist < 0 {
-				dist, from, to = -dist, to, from
-			}
-			if dist >= int64(c.nIter) {
-				continue // structural fallback in staticChecks
-			}
-			for k := int32(1); k+int32(dist) <= c.nIter; k++ {
-				pairs = append(pairs, pair{from, to, k, k + int32(dist)})
-			}
-		default:
-			// Unknown direction and distance: slip must be bounded to one
-			// iteration both ways.
-			for k := int32(1); k+1 <= c.nIter; k++ {
-				pairs = append(pairs, pair{int32(e.From), int32(e.To), k, k + 1})
-				pairs = append(pairs, pair{int32(e.To), int32(e.From), k, k + 1})
-			}
+		ca := c.instPart[o.aTac]
+		if ca < 0 || ca >= len(vb) {
+			continue
 		}
-		for _, p := range pairs {
-			va, oka := events[evKey{tac: p.aTac, iter: p.ak}]
-			vb, okb := events[evKey{tac: p.bTac, iter: p.bk}]
-			if !oka || !okb {
-				continue // one side did not execute on this path
-			}
-			ca := c.instPart[p.aTac]
-			if ca < 0 || ca >= len(vb) {
-				continue
-			}
-			if vb[ca] < va[ca] {
-				c.report(Diagnostic{Check: "token-coverage", Core: c.instPart[p.bTac], PC: -1, Queue: -1, Edge: -1,
-					Msg: fmt.Sprintf("memory dependence tac %d (core %d, iter %d) -> tac %d (core %d, iter %d) is not ordered by any queue chain — missing or misplaced memory-ordering token",
-						p.aTac, ca, p.ak, p.bTac, c.instPart[p.bTac], p.bk)})
-			}
+		if vb[ca] < va[ca] {
+			c.report(Diagnostic{Check: "token-coverage", Core: c.instPart[o.bTac], PC: -1, Queue: -1, Edge: -1,
+				Msg: fmt.Sprintf("memory dependence tac %d (core %d, iter %d) -> tac %d (core %d, iter %d) is not ordered by any queue chain — missing or misplaced memory-ordering token",
+					o.aTac, ca, o.ak, o.bTac, c.instPart[o.bTac], o.bk)})
 		}
 	}
 }

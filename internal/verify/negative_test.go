@@ -197,25 +197,24 @@ func compileKernel(t *testing.T, name string, cores int) (*core.Artifact, verify
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := core.Compile(k.Build(), core.DefaultOptions(cores))
+	art, in, err := compileLoop(k.Build(), cores)
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
-	mc := art.MachineConfig()
-	return art, verify.Input{
-		Programs: art.Compiled.Programs,
-		Cores:    mc.Cores,
-		QueueLen: mc.QueueLen,
-		Fn:       art.Fn,
-		Deps:     art.Deps,
-		Parts:    art.Parts,
-	}
+	return art, in
 }
 
+// cloneProgram returns a fresh program with its own instructions; the
+// other fields are shared, since no mutation touches them.
 func cloneProgram(p *isa.Program) *isa.Program {
-	cp := *p
-	cp.Instrs = append([]isa.Instr(nil), p.Instrs...)
-	return &cp
+	return &isa.Program{
+		Core:    p.Core,
+		Instrs:  append([]isa.Instr(nil), p.Instrs...),
+		NRegs:   p.NRegs,
+		Labels:  p.Labels,
+		RegName: p.RegName,
+		Marks:   p.Marks,
+	}
 }
 
 func cloneInput(in verify.Input) verify.Input {

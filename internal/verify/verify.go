@@ -23,9 +23,9 @@
 //  1. FIFO order: the k-th dequeue on every (sender, receiver, class) queue
 //     pops the entry the k-th enqueue pushed (matched by communication-edge
 //     tag), and all queues are fully drained at halt.
-//  2. Static depth: primed slack plus the per-iteration enqueue count on
-//     every queue fits the queue capacity, so steady-state traffic never
-//     depends on the receiver draining mid-burst.
+//  2. Static depth: the entries primed before the loop on every queue fit
+//     the queue capacity, so steady-state traffic never depends on the
+//     receiver racing ahead during priming.
 //  3. Deadlock freedom: the co-execution is a bounded Kahn process network
 //     (deterministic cores, blocking FIFO ops), so if any fair schedule
 //     gets stuck, every schedule does; a stuck state is reported with the
@@ -41,12 +41,17 @@
 // checked against the TAC function's use-def relation (a value that arrived
 // over a queue must be one the consuming instruction actually uses), which
 // catches transfers wired to the wrong register even when edge tags agree.
+//
+// Every compile and every search candidate runs this pass, so its
+// bookkeeping is dense and built once per Check: the token-coverage
+// obligations are listed up front, each completed path indexes its event
+// log in a flat (instruction, iteration) table, and vector-clock snapshots
+// are carved from one append-only slab instead of allocated one by one.
 package verify
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"fgp/internal/codegraph"
@@ -181,23 +186,28 @@ func Check(in Input) error {
 	return &Error{Diags: c.diags}
 }
 
-// evKey identifies one dynamic execution of a TAC memory instruction.
-type evKey struct {
-	tac  int32
-	iter int32
-}
-
 type checker struct {
 	in    Input
 	nIter int32
 	nq    int // queue-id space size; per-world state is dense over it
 
 	// Derived from Fn/Deps/Parts when present.
-	defTemp  []tac.TempID   // TAC instr id -> destination temp (None for stores)
-	uses     [][]tac.TempID // TAC instr id -> temps read
-	instPart []int          // TAC instr id -> partition (-1 unknown)
-	memEdges []deps.Edge    // cross-partition memory dependences
-	needEv   map[int32]bool // TAC ids whose executions must be clock-stamped
+	instPart []int       // TAC instr id -> partition (-1 unknown)
+	memEdges []deps.Edge // cross-partition memory dependences
+	// evSlot maps a TAC instruction id to its row of the event table, or
+	// -1 when its executions need no clock stamp.
+	evSlot []int32
+	// obligations lists every pair of stamped executions the token check
+	// compares, built once in (edge, iteration) order so diagnostics come
+	// out in that order.
+	obligations []obligation
+	// evTab is the event table of the world being checked: row evSlot[tac],
+	// column iteration-1, holding that execution's clock snapshot. Only
+	// iterations 1..nIter are ever looked up.
+	evTab [][]int64
+	// slab backs every vector-clock snapshot of this check. Snapshots are
+	// immutable, so worlds and forks share them freely.
+	slab []int64
 
 	// Per-program structure.
 	loops []loopInfo
@@ -205,12 +215,11 @@ type checker struct {
 	// Monotone aggregates across worlds (schedule- and path-independent
 	// counts folded with max, so one world suffices to establish them and
 	// extra worlds can only confirm).
-	prePush     map[int32]int            // queue -> enqueues before the sender's loop
-	prePop      map[int32]int            // queue -> dequeues before the receiver's loop
-	primedEdge  map[int32]map[int32]int  // queue -> edge -> primed entries
-	maxIterPush map[int32]int            // queue -> max enqueues in one sender iteration
-	loopPush    map[int32]map[int32]bool // queue -> edge pushed during some loop iteration
-	loopPop     map[int32]map[int32]bool // queue -> edge popped during some loop iteration
+	prePush    []int          // queue -> enqueues before the sender's loop
+	prePop     []int          // queue -> dequeues before the receiver's loop
+	primedEdge map[qedge]int  // (queue, edge) -> primed entries
+	loopPush   map[qedge]bool // (queue, edge) pushed during some loop iteration
+	loopPop    map[qedge]bool // (queue, edge) popped during some loop iteration
 
 	diags    []Diagnostic
 	diagSeen map[string]bool
@@ -222,6 +231,18 @@ type checker struct {
 	forked map[okey]bool
 }
 
+// qedge names the traffic of one communication edge on one queue.
+type qedge struct{ q, edge int32 }
+
+// obligation is one happens-before requirement of the token check: the
+// execution of TAC instruction aTac in iteration ak must be ordered before
+// that of bTac in iteration bk. a and b index the event table.
+type obligation struct {
+	a, b       int32
+	aTac, bTac int32
+	ak, bk     int32
+}
+
 type loopInfo struct {
 	head  int // -1 when the program has no (non-driver) loop
 	latch int
@@ -229,26 +250,17 @@ type loopInfo struct {
 
 func newChecker(in Input) *checker {
 	c := &checker{
-		in:          in,
-		nIter:       2,
-		prePush:     map[int32]int{},
-		prePop:      map[int32]int{},
-		primedEdge:  map[int32]map[int32]int{},
-		maxIterPush: map[int32]int{},
-		loopPush:    map[int32]map[int32]bool{},
-		loopPop:     map[int32]map[int32]bool{},
-		diagSeen:    map[string]bool{},
-		needEv:      map[int32]bool{},
-		forked:      map[okey]bool{},
+		in:         in,
+		nIter:      2,
+		primedEdge: map[qedge]int{},
+		loopPush:   map[qedge]bool{},
+		loopPop:    map[qedge]bool{},
+		diagSeen:   map[string]bool{},
+		forked:     map[okey]bool{},
 	}
 	if in.Fn != nil {
-		fn := in.Fn
-		c.defTemp = make([]tac.TempID, len(fn.Instrs))
-		c.uses = make([][]tac.TempID, len(fn.Instrs))
-		c.instPart = make([]int, len(fn.Instrs))
-		for i, inst := range fn.Instrs {
-			c.defTemp[i] = inst.Dst
-			c.uses[i] = inst.Uses(nil)
+		c.instPart = make([]int, len(in.Fn.Instrs))
+		for i, inst := range in.Fn.Instrs {
 			c.instPart[i] = -1
 			if in.Parts != nil && inst.Fiber >= 0 && int(inst.Fiber) < len(in.Parts.PartOf) {
 				c.instPart[i] = int(in.Parts.PartOf[inst.Fiber])
@@ -256,6 +268,17 @@ func newChecker(in Input) *checker {
 		}
 	}
 	if in.Deps != nil && in.Fn != nil && in.Parts != nil {
+		c.evSlot = make([]int32, len(in.Fn.Instrs))
+		for i := range c.evSlot {
+			c.evSlot[i] = -1
+		}
+		slots := int32(0)
+		stamp := func(id int) {
+			if c.evSlot[id] < 0 {
+				c.evSlot[id] = slots
+				slots++
+			}
+		}
 		maxDist := int64(0)
 		for _, e := range in.Deps.Edges {
 			if e.Kind != deps.Mem {
@@ -266,8 +289,8 @@ func newChecker(in Input) *checker {
 				continue
 			}
 			c.memEdges = append(c.memEdges, e)
-			c.needEv[int32(e.From)] = true
-			c.needEv[int32(e.To)] = true
+			stamp(e.From)
+			stamp(e.To)
 			if e.Carried && e.MemKnown {
 				d := e.MemDist
 				if d < 0 {
@@ -284,6 +307,10 @@ func newChecker(in Input) *checker {
 				n = nIterCap
 			}
 			c.nIter = int32(n)
+		}
+		c.buildObligations()
+		if len(c.obligations) > 0 {
+			c.evTab = make([][]int64, int(slots)*int(c.nIter))
 		}
 	}
 	c.loops = make([]loopInfo, len(in.Programs))
@@ -302,7 +329,63 @@ func newChecker(in Input) *checker {
 			}
 		}
 	}
+	c.prePush = make([]int, c.nq)
+	c.prePop = make([]int, c.nq)
 	return c
+}
+
+// buildObligations lists the happens-before pairs of every cross-core
+// memory dependence the abstract horizon covers: each iteration pair at
+// the dependence distance, edge by edge. Distances at or beyond the
+// horizon fall back to the structural check in staticChecks.
+func (c *checker) buildObligations() {
+	add := func(aTac, bTac int, ak, bk int32) {
+		c.obligations = append(c.obligations, obligation{
+			a:    c.evSlot[aTac]*c.nIter + ak - 1,
+			b:    c.evSlot[bTac]*c.nIter + bk - 1,
+			aTac: int32(aTac), bTac: int32(bTac), ak: ak, bk: bk,
+		})
+	}
+	for _, e := range c.memEdges {
+		switch {
+		case !e.Carried:
+			for k := int32(1); k <= c.nIter; k++ {
+				add(e.From, e.To, k, k)
+			}
+		case e.MemKnown:
+			dist := e.MemDist
+			from, to := e.From, e.To
+			if dist < 0 {
+				dist, from, to = -dist, to, from
+			}
+			if dist >= int64(c.nIter) {
+				continue
+			}
+			for k := int32(1); k+int32(dist) <= c.nIter; k++ {
+				add(from, to, k, k+int32(dist))
+			}
+		default:
+			// Unknown direction and distance: slip must be bounded to one
+			// iteration both ways.
+			for k := int32(1); k+1 <= c.nIter; k++ {
+				add(e.From, e.To, k, k+1)
+				add(e.To, e.From, k, k+1)
+			}
+		}
+	}
+}
+
+// slabChunk is the number of clock entries each slab allocation holds.
+const slabChunk = 1024
+
+// snapshot returns an immutable copy of vc carved from the check's slab.
+func (c *checker) snapshot(vc []int64) []int64 {
+	if len(c.slab)+len(vc) > cap(c.slab) {
+		c.slab = make([]int64, 0, max(slabChunk, len(vc)))
+	}
+	off := len(c.slab)
+	c.slab = append(c.slab, vc...)
+	return c.slab[off:len(c.slab):len(c.slab)]
 }
 
 // findLoop locates the program's main loop: the unique target of backward
@@ -369,13 +452,9 @@ func (c *checker) staticChecks() {
 	// steady-state occupancy exceeds the queue and the program runs only
 	// if the receiver happens to race ahead during priming. The compiler's
 	// own TokenDepthCap promises never to emit this.
-	qids := make([]int32, 0, len(c.prePush))
-	for q := range c.prePush {
-		qids = append(qids, q)
-	}
-	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
-	for _, q := range qids {
-		primed := c.prePush[q] - c.prePop[q]
+	for qi, pushed := range c.prePush {
+		q := int32(qi)
+		primed := pushed - c.prePop[q]
 		if primed > c.in.QueueLen {
 			c.report(Diagnostic{Check: "fifo-depth", Core: c.qSrc(q), PC: -1, Queue: q, Edge: -1,
 				Msg: fmt.Sprintf("queue %d->%d holds %d primed entries before the loop but capacity is %d; standing depth exceeds the queue",
@@ -411,17 +490,15 @@ func (c *checker) staticChecks() {
 // hasTokenEdge reports whether some queue from sender to receiver carries a
 // primed per-iteration edge with 1..dist entries of slack.
 func (c *checker) hasTokenEdge(sender, receiver int, dist int64) bool {
-	for q, edges := range c.primedEdge {
-		if c.qSrc(q) != sender || c.qDst(q) != receiver {
+	for qe, primed := range c.primedEdge {
+		if c.qSrc(qe.q) != sender || c.qDst(qe.q) != receiver {
 			continue
 		}
-		for e, primed := range edges {
-			if primed < 1 || int64(primed) > dist {
-				continue
-			}
-			if c.loopPush[q][e] && c.loopPop[q][e] {
-				return true
-			}
+		if primed < 1 || int64(primed) > dist {
+			continue
+		}
+		if c.loopPush[qe] && c.loopPop[qe] {
+			return true
 		}
 	}
 	return false
