@@ -23,7 +23,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,8 +38,6 @@ import (
 	"fgp/internal/core"
 	"fgp/internal/experiments"
 	"fgp/internal/kernels"
-	"fgp/internal/kernels/tier2"
-	"fgp/internal/machspace"
 	"fgp/internal/sim"
 )
 
@@ -85,24 +82,6 @@ type Report struct {
 
 	Modes []Mode `json:"modes"`
 
-	// Tier2 sweeps the committed fuzzer-discovered kernels in
-	// internal/kernels/tier2 — built from .fgp source through the frontend,
-	// so the sweep exercises the full front door. Additive: checkGate
-	// compares modes by name only, so reports without this section still
-	// gate cleanly.
-	Tier2 *Tier2Sweep `json:"tier2,omitempty"`
-
-	// Search times the partitioning-as-search experiment (internal/search)
-	// and records its simulated payoff over the heuristic seed. Additive,
-	// like Tier2.
-	Search *SearchSweep `json:"search,omitempty"`
-
-	// Machspace times one budgeted machine-space sweep (internal/machspace)
-	// over the default grid and records each kernel's frontier summary —
-	// the host cost of answering "what hardware does this loop need?".
-	// Additive, like Tier2.
-	Machspace *MachspaceSweep `json:"machspace,omitempty"`
-
 	// Headline ratios, both versus the reference-serial cold sweep.
 	SpeedupThreadedSerial   float64 `json:"speedup_threaded_serial"`
 	SpeedupThreadedParallel float64 `json:"speedup_threaded_parallel"`
@@ -112,56 +91,6 @@ type Report struct {
 	// implementation timed with this tool's -once flag built at that
 	// commit, A/B-interleaved with the current binary on the same machine.
 	Baseline *Baseline `json:"baseline,omitempty"`
-}
-
-// Tier2Sweep records simulated speedups for the tier-2 source corpus.
-type Tier2Sweep struct {
-	Cores   int        `json:"cores"`
-	Kernels []Tier2Row `json:"kernels"`
-}
-
-// Tier2Row is one tier-2 kernel's simulated result.
-type Tier2Row struct {
-	Name      string  `json:"name"`
-	SeqCycles int64   `json:"seq_cycles"`
-	Cycles    int64   `json:"cycles"`
-	Speedup   float64 `json:"speedup"`
-}
-
-// SearchSweep records one partition-search run over the full catalog
-// (tier-1 and tier-2) at one core count: what the search costs in host time
-// and what it buys in simulated cycles versus the paper heuristic.
-type SearchSweep struct {
-	Cores  int   `json:"cores"`
-	Budget int   `json:"budget"`
-	Seed   int64 `json:"seed"`
-	HostNs int64 `json:"host_ns"`
-
-	// Totals across all kernels; SearchedCycles <= HeuristicCycles by
-	// construction (the searcher is seeded with the heuristic partition).
-	HeuristicCycles int64   `json:"heuristic_cycles_total"`
-	SearchedCycles  int64   `json:"searched_cycles_total"`
-	GainPct         float64 `json:"gain_pct"`
-	Improved        int     `json:"improved_kernels"`
-	Kernels         int     `json:"kernels"`
-}
-
-// MachspaceSweep records one machine-space sweep over the default grid.
-type MachspaceSweep struct {
-	PointsPerKernel int            `json:"points_per_kernel"`
-	HostNs          int64          `json:"host_ns"`
-	Kernels         []MachspaceRow `json:"kernels"`
-}
-
-// MachspaceRow is one kernel's frontier summary.
-type MachspaceRow struct {
-	Name         string  `json:"name"`
-	Rejected     int     `json:"rejected"`
-	FrontierSize int     `json:"frontier_size"`
-	BestSpeedup  float64 `json:"best_speedup"`
-	// Target2HWCost is the /v1/frontier inverse query: the cheapest
-	// hardware cost reaching 2.0x on this kernel (0 = unreachable).
-	Target2HWCost int64 `json:"target2_hw_cost"`
 }
 
 // Baseline is a cross-version comparison point.
@@ -182,9 +111,6 @@ func main() {
 	baseName := flag.String("baseline", "", "name of a baseline checkout to record in the report")
 	baseNs := flag.Int64("baseline-ns", 0, "externally measured cold-sweep nanoseconds of the -baseline checkout")
 	baseCmd := flag.String("baseline-cmd", "", "command printing one cold-sweep nanosecond count (e.g. an older checkout's 'fgpbench -once threaded-parallel' binary); run interleaved with the modes each repeat, overriding -baseline-ns")
-	msKernels := flag.String("machspace-kernels", "umt2k-4,umt2k-2,lammps-2", "comma-separated kernels for the machine-space sweep section (empty disables)")
-	searchBudget := flag.Int("search-budget", 48, "candidate budget for the partition-search sweep section (0 disables)")
-	searchSeed := flag.Int64("search-seed", 1, "seed for the partition-search sweep section")
 	gate := flag.Float64("gate", 0, "fail (exit 1) when any mode's ns_per_simulated_cycle regresses by more than this fraction vs the -against report (0 disables)")
 	against := flag.String("against", "BENCH_sim.json", "committed report the -gate check compares against")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the timed sweeps to this file")
@@ -194,7 +120,7 @@ func main() {
 		{Name: "threaded-serial", Engine: sim.EngineThreaded, Workers: 1},
 		{Name: "threaded-parallel", Engine: sim.EngineThreaded, Workers: *workers},
 	}
-	if err := checkFlags(flag.Args(), modes, *repeats, *workers, *searchBudget, *gate, *once); err != nil {
+	if err := checkFlags(flag.Args(), modes, *repeats, *workers, *gate, *once); err != nil {
 		fmt.Fprintln(os.Stderr, "fgpbench:", err)
 		os.Exit(2)
 	}
@@ -278,28 +204,6 @@ func main() {
 	}
 	rep.Modes = modes
 
-	t2, err := tier2Sweep(4)
-	if err != nil {
-		fatal(fmt.Errorf("tier2 sweep: %w", err))
-	}
-	rep.Tier2 = t2
-
-	if *searchBudget > 0 {
-		ss, err := searchSweep(4, *searchBudget, *searchSeed)
-		if err != nil {
-			fatal(fmt.Errorf("search sweep: %w", err))
-		}
-		rep.Search = ss
-	}
-
-	if *msKernels != "" {
-		ms, err := machspaceSweep(strings.Split(*msKernels, ","))
-		if err != nil {
-			fatal(fmt.Errorf("machspace sweep: %w", err))
-		}
-		rep.Machspace = ms
-	}
-
 	rep.SpeedupThreadedSerial = modes[1].SpeedupCold
 	rep.SpeedupThreadedParallel = modes[2].SpeedupCold
 	if *baseName != "" && *baseNs > 0 {
@@ -348,46 +252,6 @@ func printTable(rep *Report) {
 			m.NsPerSimCycle, m.SpeedupCold, m.SpeedupWarm)
 	}
 	tw.Flush()
-	if rep.Tier2 != nil {
-		tw = tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(tw, "\ntier2 kernel\tseq cycles\t%d-core cycles\tspeedup\n", rep.Tier2.Cores)
-		for _, r := range rep.Tier2.Kernels {
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%.2fx\n", r.Name, r.SeqCycles, r.Cycles, r.Speedup)
-		}
-		tw.Flush()
-	}
-	if rep.Search != nil {
-		s := rep.Search
-		fmt.Fprintf(os.Stderr,
-			"\npartition search (%d-core, budget %d, seed %d): %d of %d kernels improved, %.2f%% total cycle gain, %v host time\n",
-			s.Cores, s.Budget, s.Seed, s.Improved, s.Kernels, s.GainPct, time.Duration(s.HostNs))
-	}
-}
-
-// searchSweep times one partition-search run over the full catalog (tier-1
-// plus the tier-2 source corpus) at one core count and totals its simulated
-// payoff against the heuristic seed.
-func searchSweep(cores, budget int, seed int64) (*SearchSweep, error) {
-	start := time.Now()
-	rows, err := experiments.Search(experiments.NewRunner(), experiments.SearchConfig{
-		Budget: budget, Seed: seed, Cores: []int{cores}, Tier2: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ss := &SearchSweep{Cores: cores, Budget: budget, Seed: seed,
-		HostNs: time.Since(start).Nanoseconds(), Kernels: len(rows)}
-	for _, r := range rows {
-		ss.HeuristicCycles += r.HeuristicCycles
-		ss.SearchedCycles += r.SearchedCycles
-		if r.SearchedCycles < r.HeuristicCycles {
-			ss.Improved++
-		}
-	}
-	if ss.HeuristicCycles > 0 {
-		ss.GainPct = 100 * float64(ss.HeuristicCycles-ss.SearchedCycles) / float64(ss.HeuristicCycles)
-	}
-	return ss, nil
 }
 
 // checkGate compares the fresh report against a committed one and errors
@@ -425,83 +289,6 @@ func checkGate(cur *Report, path string, allowed float64) error {
 		return fmt.Errorf("%s", strings.Join(regressions, "; "))
 	}
 	return nil
-}
-
-// tier2Sweep builds every committed tier-2 kernel from source and compares
-// its simulated parallel cycles against the sequential baseline. The
-// experiments runner is keyed to the built-in catalog, so this calls the
-// compiler core directly.
-func tier2Sweep(cores int) (*Tier2Sweep, error) {
-	ks, err := tier2.All()
-	if err != nil {
-		return nil, err
-	}
-	sw := &Tier2Sweep{Cores: cores}
-	for _, k := range ks {
-		l, err := k.Build()
-		if err != nil {
-			return nil, err
-		}
-		seq, err := core.CompileSequential(l)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.Name, err)
-		}
-		seqRes, err := seq.RunDefault()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.Name, err)
-		}
-		art, err := core.Compile(l, core.DefaultOptions(cores))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.Name, err)
-		}
-		res, err := art.RunDefault()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.Name, err)
-		}
-		sw.Kernels = append(sw.Kernels, Tier2Row{
-			Name:      k.Name,
-			SeqCycles: seqRes.Cycles,
-			Cycles:    res.Cycles,
-			Speedup:   float64(seqRes.Cycles) / float64(res.Cycles),
-		})
-	}
-	return sw, nil
-}
-
-// machspaceSweep runs the machine-space sweep over the default grid for
-// the named kernels, timing the whole thing cold (fresh runner, so the
-// host cost includes the per-(cores, queue) compiles).
-func machspaceSweep(names []string) (*MachspaceSweep, error) {
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	r := experiments.NewRunner()
-	start := time.Now()
-	reps, err := machspace.Report(context.Background(), r, names, machspace.DefaultGrid(), nil, machspace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	ms := &MachspaceSweep{HostNs: time.Since(start).Nanoseconds()}
-	for _, kr := range reps {
-		ms.PointsPerKernel = kr.Points
-		row := MachspaceRow{
-			Name:         kr.Kernel,
-			Rejected:     kr.Rejected,
-			FrontierSize: len(kr.Frontier),
-		}
-		for _, q := range kr.Queries {
-			if q.Target == 2.0 && q.Found {
-				row.Target2HWCost = q.Minimal.HWCost
-			}
-		}
-		// The frontier is cost-ascending and speedup-ascending, so its last
-		// entry is the surface's ceiling.
-		if n := len(kr.Frontier); n > 0 {
-			row.BestSpeedup = kr.Frontier[n-1].Speedup
-		}
-		ms.Kernels = append(ms.Kernels, row)
-	}
-	return ms, nil
 }
 
 // timeSweep runs the Figure 12 sweep on a fresh runner (cold: compile +
@@ -574,7 +361,7 @@ func runBaseline(cmdline string) (int64, error) {
 
 // checkFlags rejects flag values no sweep can run with, before any sweep
 // starts; main exits 2 on its error.
-func checkFlags(args []string, modes []Mode, repeats, workers, searchBudget int, gate float64, once string) error {
+func checkFlags(args []string, modes []Mode, repeats, workers int, gate float64, once string) error {
 	names := make([]string, len(modes))
 	for i, m := range modes {
 		names[i] = m.Name
@@ -586,8 +373,6 @@ func checkFlags(args []string, modes []Mode, repeats, workers, searchBudget int,
 		return fmt.Errorf("-repeats must be >= 1 (got %d)", repeats)
 	case workers < 0:
 		return fmt.Errorf("-workers must be >= 0 (got %d)", workers)
-	case searchBudget < 0:
-		return fmt.Errorf("-search-budget must be >= 0 (got %d)", searchBudget)
 	case !(gate >= 0):
 		return fmt.Errorf("-gate must be >= 0 (got %v)", gate)
 	case once != "" && !slices.Contains(names, once):

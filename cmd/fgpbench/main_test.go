@@ -11,12 +11,12 @@ import (
 func TestCheckFlags(t *testing.T) {
 	modes := []Mode{{Name: "reference-serial"}, {Name: "threaded-serial"}, {Name: "threaded-parallel"}}
 	type flags struct {
-		args                 []string
-		repeats, workers, sb int
-		gate                 float64
-		once                 string
+		args             []string
+		repeats, workers int
+		gate             float64
+		once             string
 	}
-	ok := flags{repeats: 5, sb: 48}
+	ok := flags{repeats: 5}
 	for _, c := range []struct {
 		name string
 		edit func(*flags)
@@ -27,7 +27,6 @@ func TestCheckFlags(t *testing.T) {
 		{"valid gate", func(f *flags) { f.gate = 0.25 }, ""},
 		{"repeats 0", func(f *flags) { f.repeats = 0 }, "-repeats must be >= 1"},
 		{"negative workers", func(f *flags) { f.workers = -1 }, "-workers must be >= 0"},
-		{"negative search budget", func(f *flags) { f.sb = -1 }, "-search-budget must be >= 0"},
 		{"negative gate", func(f *flags) { f.gate = -0.1 }, "-gate must be >= 0"},
 		{"NaN gate", func(f *flags) { f.gate = math.NaN() }, "-gate must be >= 0"},
 		{"unknown mode", func(f *flags) { f.once = "bogus" },
@@ -36,7 +35,7 @@ func TestCheckFlags(t *testing.T) {
 	} {
 		f := ok
 		c.edit(&f)
-		err := checkFlags(f.args, modes, f.repeats, f.workers, f.sb, f.gate, f.once)
+		err := checkFlags(f.args, modes, f.repeats, f.workers, f.gate, f.once)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)

@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *trace > 0 {
 		tw := &truncWriter{w: stdout, limit: *trace}
 		tcfg := cfg
-		tcfg.Trace = tw
+		tcfg.Sink = obs.NewText(tw)
 		if _, err := par.Run(tcfg); err != nil && !tw.done() {
 			return fail(err)
 		}
@@ -215,8 +215,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // truncWriter forwards whole lines until the limit is reached, then drops
-// the rest (the simulation still runs to completion). The simulator hands
-// it buffered multi-line chunks, so it counts newlines, not Write calls.
+// the rest (the simulation still runs to completion). It counts newlines,
+// not Write calls, so it works under any writer chunking.
 type truncWriter struct {
 	w     io.Writer
 	limit int

@@ -238,7 +238,7 @@ func TestSafeFillPanicIsContained(t *testing.T) {
 	fills := 0
 	boom := func(context.Context) (any, error) { fills++; panic("kind mismatch in emitter") }
 	for i := 0; i < 3; i++ {
-		_, _, err := c.Do(t.Context(), memKind, "key", boom)
+		_, _, err := c.Do(context.Background(), memKind, "key", boom)
 		var pe *PanicError
 		if err == nil || !strings.Contains(err.Error(), "internal panic") {
 			t.Fatalf("lookup %d: err = %v, want panic error", i, err)

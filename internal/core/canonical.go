@@ -29,8 +29,8 @@ import (
 //     reads the latency (the profiling run has one core and no queues);
 //     a searched partition is scored on the machine it was compiled for.
 //   - Never counted: SearchWorkers (host time only), Profile (measured from
-//     the other fields), and the machine's Engine, Sink, Trace and
-//     DebugEdges (run-time choices that leave results bit-identical) and
+//     the other fields), and the machine's Engine, Sink and DebugEdges
+//     (run-time choices that leave results bit-identical) and
 //     CollectProfile (the profiling run sets it itself).
 //
 // A consumer of an artifact compiled from canonical options applies its
@@ -55,7 +55,7 @@ func CanonicalOptions(opt Options) Options {
 	}
 	c.SearchWorkers = 0
 	c.Profile = nil
-	mc.Engine, mc.Sink, mc.Trace = "", nil, nil
+	mc.Engine, mc.Sink = "", nil
 	mc.DebugEdges, mc.CollectProfile = false, false
 	c.Machine = &mc
 	return c
@@ -85,11 +85,11 @@ func ProfileOptions(opt Options) Options {
 }
 
 // CanonicalRun returns the part of a simulation configuration a Result
-// depends on: cfg with Engine, Sink, Trace and DebugEdges zeroed. Every
-// engine returns a bit-identical Result; a sink or trace observes a run
-// without changing it (a run that attaches one wants the event stream, so
-// it bypasses result memos); and DebugEdges only adds a check.
+// depends on: cfg with Engine, Sink and DebugEdges zeroed. Every engine
+// returns a bit-identical Result; a sink observes a run without changing it
+// (a run that attaches one wants the event stream, so it bypasses result
+// memos); and DebugEdges only adds a check.
 func CanonicalRun(cfg sim.Config) sim.Config {
-	cfg.Engine, cfg.Sink, cfg.Trace, cfg.DebugEdges = "", nil, nil, false
+	cfg.Engine, cfg.Sink, cfg.DebugEdges = "", nil, false
 	return cfg
 }

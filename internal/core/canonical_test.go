@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -52,7 +51,6 @@ var (
 		"GroupSize":       hashed,
 		"MemPortCycles":   hashed,
 		"MaxSteps":        hashed,
-		"Trace":           runOnly,
 		"Sink":            runOnly,
 		"Engine":          runOnly,
 	}
@@ -82,7 +80,7 @@ func perturb(t *testing.T, v reflect.Value) {
 		perturb(t, p.Elem())
 		v.Set(p)
 	case reflect.Interface:
-		samples := []any{obs.NewRecorder(), &bytes.Buffer{}}
+		samples := []any{obs.NewRecorder()}
 		for _, s := range samples {
 			if reflect.TypeOf(s).Implements(v.Type()) {
 				v.Set(reflect.ValueOf(s))
@@ -153,7 +151,6 @@ var runFields = map[string]bool{
 	"GroupSize":       true,
 	"MemPortCycles":   true,
 	"MaxSteps":        true,
-	"Trace":           false,
 	"Sink":            false,
 	"Engine":          false,
 }

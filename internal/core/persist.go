@@ -46,7 +46,7 @@ type artifactWire struct {
 	Transfers    int
 	StaticQueues int
 	Report       Report
-	Machine      sim.Config // Trace/Sink are zeroed: sinks never persist
+	Machine      sim.Config // Sink is zeroed: sinks never persist
 }
 
 // Executable returns the part of a that running it needs: the loop and
@@ -69,7 +69,6 @@ func (a *Artifact) MarshalBinary() ([]byte, error) {
 		return nil, fmt.Errorf("core: encoding source loop: %w", err)
 	}
 	mc := a.machine
-	mc.Trace = nil
 	mc.Sink = nil
 	w := artifactWire{
 		Version:      artifactWireVersion,

@@ -55,8 +55,8 @@ type Runner struct {
 
 // maxResults bounds the simulation-result memo. A full fgpexp evaluation
 // holds 500 distinct results, and a result at fgpd's 16-core limit takes
-// about 5 KB (its queue high-water marks are 2·cores² ints), so the memo
-// stays near 10 MB however many machines fgpd's sweeps cover.
+// about 0.7 KB (four per-core slices and the live-outs), so the memo stays
+// near 1.5 MB however many machines fgpd's sweeps cover.
 const maxResults = 2048
 
 // The cache entry kinds a Runner fills. Artifacts and baselines persist
@@ -284,7 +284,7 @@ func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim
 // sha256(core.CanonicalRun(cfg) ‖ 0 ‖ addr): a Result depends only on the
 // artifact and the run levers, and every engine returns a bit-identical
 // one, so cfg.Engine only picks the engine a miss runs on. A run with a
-// Sink or Trace attached bypasses the memo, since its output is the event
+// Sink attached bypasses the memo, since its output is the event
 // stream. hit reports whether an existing result served the call. The
 // Result may be shared with other callers and must not be modified. The
 // memo holds at most maxResults results; a new one past that evicts an
@@ -295,7 +295,7 @@ func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim
 // evicted, and a concurrent requester whose own ctx is live simulates
 // afresh.
 func (r *Runner) Simulate(ctx context.Context, a *core.Artifact, addr string, cfg sim.Config) (res *sim.Result, hit bool, err error) {
-	if cfg.Sink != nil || cfg.Trace != nil {
+	if cfg.Sink != nil {
 		res, err = a.RunContext(ctx, cfg)
 		return res, false, err
 	}

@@ -74,7 +74,7 @@ func TestRoundTripExpressionShapes(t *testing.T) {
 		},
 		{
 			Name: "ints", Index: "j", Start: 1, End: 9, Step: 2,
-			Arrays: []*ir.ArrayDecl{{Name: "g", K: ir.I64, InitI: []int64{7, 8, 9, 10, 11, 12, 13, 14, 15}}},
+			Arrays:  []*ir.ArrayDecl{{Name: "g", K: ir.I64, InitI: []int64{7, 8, 9, 10, 11, 12, 13, 14, 15}}},
 			Scalars: []ir.ScalarDecl{{Name: "m", K: ir.I64, I: -5}},
 			Body: []ir.Stmt{
 				// g[j] = (g[j] ^ m) & (m | 3) << 1 — shift/bitwise stack.

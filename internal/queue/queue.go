@@ -34,35 +34,13 @@ type Queue struct {
 	n    int     // current occupancy
 	used bool
 
-	// Peak occupancy and transfer counts, for the evaluation's
-	// "queues actually used" metric and general stats. Transfers counts
-	// pushes and Pops counts pops, so Transfers-1 / Pops-1 are the
-	// sequence numbers of the most recent push / pop — the observability
-	// layer uses them to pair every dequeue with its enqueue (FIFO order
-	// makes the k-th pop receive the k-th push).
+	// Transfer counts, for the evaluation's "queues actually used" metric
+	// and general stats. Transfers counts pushes and Pops counts pops, so
+	// Transfers-1 / Pops-1 are the sequence numbers of the most recent push
+	// / pop — the observability layer uses them to pair every dequeue with
+	// its enqueue (FIFO order makes the k-th pop receive the k-th push).
 	Transfers int64
 	Pops      int64
-	Peak      int
-
-	// Out-of-order peak reconstruction (see PushEarly). pend holds pushes
-	// whose canonical-order depth is not yet settled; dstFirst breaks
-	// same-cycle ties the way the scheduler does (lower core id first).
-	// lastPopT/lastPopRun track the trailing run of pops sharing one
-	// execution time, for the tie adjustment in PushEarly.
-	pend       []pendPeak
-	lastPopT   int64
-	lastPopRun int
-	dstFirst   bool
-}
-
-// pendPeak is one PushEarly depth observation awaiting settlement: the
-// push's execution time and sequence number, and the provisional depth the
-// canonical schedule would have recorded (decremented as later pops turn
-// out to precede the push in canonical order).
-type pendPeak struct {
-	t   int64
-	seq int64
-	d   int
 }
 
 // New creates an empty queue with the given capacity.
@@ -71,7 +49,7 @@ func New(id int32, src, dst int, class ir.Kind, capacity int) *Queue {
 		panic(fmt.Sprintf("queue: capacity must be >= 1, got %d", capacity))
 	}
 	return &Queue{ID: id, Src: src, Dst: dst, Class: class, Cap: capacity,
-		buf: make([]Entry, capacity), dstFirst: dst < src, lastPopT: -1}
+		buf: make([]Entry, capacity)}
 }
 
 // Full reports whether an enqueue would block.
@@ -100,47 +78,6 @@ func (q *Queue) Push(v interp.Value, availAt int64, edge int32) {
 	q.n++
 	q.used = true
 	q.Transfers++
-	if q.n > q.Peak {
-		q.Peak = q.n
-	}
-}
-
-// PushEarly appends a value like Push, but for a producer running ahead of
-// the scheduler's canonical (time, core-id) order: the push executes at
-// producer time t even though pops with earlier canonical order may not
-// have run yet. The current occupancy is therefore only a provisional
-// depth, so instead of updating Peak directly the observation is parked on
-// a pending list and settled as the consumer's pops reveal their order
-// (Pop decrements pendings it canonically precedes and folds settled ones
-// into Peak; FoldPeak folds the rest at quiescence). Two facts keep this
-// exact with a tiny list: the queue is point-to-point, and each core's
-// execution time is monotone, so every pending settles as soon as the
-// consumer's time passes t.
-//
-// One executed-pop case needs an adjustment at push time rather than pop
-// time: a guarded pop may already have run at exactly time t (guarded pops
-// always satisfy pop-time <= t), and if the producer wins the same-cycle
-// tie that pop canonically happens after this push, meaning the item it
-// removed canonically still occupied the queue here. Such pops are exactly
-// the trailing run of pops at time t, counted by lastPopRun.
-func (q *Queue) PushEarly(v interp.Value, availAt int64, edge int32, t int64) {
-	if q.Full() {
-		panic("queue: push on full queue")
-	}
-	tail := q.head + q.n
-	if tail >= q.Cap {
-		tail -= q.Cap
-	}
-	seq := q.Transfers
-	q.buf[tail] = Entry{V: v, AvailAt: availAt, Edge: edge, Seq: seq}
-	q.n++
-	q.used = true
-	q.Transfers++
-	d := q.n
-	if q.lastPopT == t && !q.dstFirst {
-		d += q.lastPopRun
-	}
-	q.pend = append(q.pend, pendPeak{t: t, seq: seq, d: d})
 }
 
 // Head returns the oldest entry without removing it. The caller must have
@@ -152,22 +89,17 @@ func (q *Queue) Head() Entry {
 	return q.buf[q.head]
 }
 
-// Pop removes and returns the oldest entry; u is the consumer core's
-// execution time at the dequeue (before any visibility stall), which
-// settles pending PushEarly depth observations: a pop of an older item
-// that canonically precedes a pending push means that push's canonical
-// depth was one lower, while a pop at or past a pending push's order can
-// never be preceded by a later pop (pop times are monotone), so that
-// pending folds into Peak.
+// Pop removes and returns the oldest entry. The caller must have checked
+// Empty.
 //
-// Pop also enforces the stats pairing invariant the observability layer
+// Pop enforces the stats pairing invariant the observability layer
 // depends on: the k-th pop must receive the k-th push (entries carry their
 // push sequence number, and FIFO order makes it equal to the pop sequence
 // number). A mismatch means the ring arithmetic and the Transfers/Pops
 // counters have drifted apart — every seq-paired flow arrow in the trace
 // would silently point at the wrong enqueue — so it is a panic, like
 // push-on-full, not an error.
-func (q *Queue) Pop(u int64) Entry {
+func (q *Queue) Pop() Entry {
 	e := q.Head()
 	q.head++
 	if q.head >= q.Cap {
@@ -178,53 +110,7 @@ func (q *Queue) Pop(u int64) Entry {
 	if e.Seq != q.Pops-1 {
 		panic(fmt.Sprintf("queue: %v pairing violated: pop %d received push %d", q, q.Pops-1, e.Seq))
 	}
-	if len(q.pend) > 0 {
-		q.settle(u, e.Seq)
-	}
-	if u == q.lastPopT {
-		q.lastPopRun++
-	} else {
-		q.lastPopT, q.lastPopRun = u, 1
-	}
 	return e
-}
-
-// settle updates pending PushEarly observations against a pop of item seq
-// s at consumer execution time u. The pop canonically precedes a pending
-// push at time t iff it pops an older item (s < seq — a pop of the push's
-// own item reaches it only through the canonical block-then-wake retry,
-// which orders after the push regardless of times) and its time orders
-// first (u < t, producer winning same-cycle ties per dstFirst). A pending
-// is settled once no future pop can precede it: future pops have larger
-// seq and, by per-core time monotonicity, no earlier time.
-func (q *Queue) settle(u int64, s int64) {
-	keep := q.pend[:0]
-	for _, p := range q.pend {
-		before := u < p.t || (u == p.t && q.dstFirst)
-		if s < p.seq && before {
-			p.d--
-		}
-		if s+1 >= p.seq || !before {
-			if p.d > q.Peak {
-				q.Peak = p.d
-			}
-		} else {
-			keep = append(keep, p)
-		}
-	}
-	q.pend = keep
-}
-
-// FoldPeak folds any still-pending PushEarly depth observations into Peak.
-// Call at quiescence (end of run, stats checks): with no further pops
-// coming, every provisional depth is final.
-func (q *Queue) FoldPeak() {
-	for _, p := range q.pend {
-		if p.d > q.Peak {
-			q.Peak = p.d
-		}
-	}
-	q.pend = q.pend[:0]
 }
 
 // CheckStats is the debug/test hook validating that the occupancy counters
@@ -232,13 +118,9 @@ func (q *Queue) FoldPeak() {
 // can be called at any quiescent point (between simulator cycles, after a
 // run); the simulator's tests run it after every drained program.
 func (q *Queue) CheckStats() error {
-	q.FoldPeak()
 	if got := q.Transfers - q.Pops; got != int64(q.n) {
 		return fmt.Errorf("queue: %v stats drifted: %d pushes - %d pops = %d but occupancy is %d",
 			q, q.Transfers, q.Pops, got, q.n)
-	}
-	if q.Peak < q.n {
-		return fmt.Errorf("queue: %v peak %d below current occupancy %d", q, q.Peak, q.n)
 	}
 	if q.used != (q.Transfers > 0) {
 		return fmt.Errorf("queue: %v used=%v disagrees with %d transfers", q, q.used, q.Transfers)

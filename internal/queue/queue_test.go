@@ -20,7 +20,7 @@ func TestFIFOOrder(t *testing.T) {
 		t.Error("queue should be full at capacity")
 	}
 	for i := int64(0); i < 4; i++ {
-		e := q.Pop(0)
+		e := q.Pop()
 		if e.V.I != i || e.Edge != int32(i) || e.AvailAt != 100+i {
 			t.Fatalf("pop %d = %+v", i, e)
 		}
@@ -36,7 +36,7 @@ func TestHeadDoesNotConsume(t *testing.T) {
 	if q.Head().V.F != 1.5 || q.Len() != 1 {
 		t.Error("Head must not consume")
 	}
-	if q.Pop(0).V.F != 1.5 || q.Len() != 0 {
+	if q.Pop().V.F != 1.5 || q.Len() != 0 {
 		t.Error("Pop after Head wrong")
 	}
 }
@@ -48,10 +48,10 @@ func TestStats(t *testing.T) {
 	}
 	q.Push(interp.VF(1), 0, 0)
 	q.Push(interp.VF(2), 0, 1)
-	q.Pop(0)
+	q.Pop()
 	q.Push(interp.VF(3), 0, 2)
-	if !q.Used() || q.Transfers != 3 || q.Peak != 2 {
-		t.Errorf("stats: used=%v transfers=%d peak=%d", q.Used(), q.Transfers, q.Peak)
+	if !q.Used() || q.Transfers != 3 {
+		t.Errorf("stats: used=%v transfers=%d", q.Used(), q.Transfers)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestPanics(t *testing.T) {
 				t.Error("pop on empty must panic")
 			}
 		}()
-		q.Pop(0)
+		q.Pop()
 	}()
 	q.Push(interp.VI(1), 0, 0)
 	func() {
@@ -103,7 +103,7 @@ func TestQuickFIFO(t *testing.T) {
 				if q.Empty() {
 					continue
 				}
-				e := q.Pop(0)
+				e := q.Pop()
 				if e.V.I != expect || e.Seq != expect {
 					return false
 				}
@@ -133,7 +133,7 @@ func TestPairingViolationDetected(t *testing.T) {
 			t.Error("pop of a mispaired entry must panic")
 		}
 	}()
-	q.Pop(0)
+	q.Pop()
 }
 
 // TestCheckStatsDetectsDrift breaks each counter relation CheckStats
@@ -143,7 +143,7 @@ func TestCheckStatsDetectsDrift(t *testing.T) {
 		q := New(0, 0, 1, ir.I64, 4)
 		q.Push(interp.VI(1), 0, 0)
 		q.Push(interp.VI(2), 0, 1)
-		q.Pop(0)
+		q.Pop()
 		return q
 	}
 	if q := mk(); q.CheckStats() != nil {
@@ -155,75 +155,8 @@ func TestCheckStatsDetectsDrift(t *testing.T) {
 		t.Error("transfer/occupancy drift not detected")
 	}
 	q = mk()
-	q.Peak = 0 // below current occupancy
-	if q.CheckStats() == nil {
-		t.Error("peak below occupancy not detected")
-	}
-	q = mk()
 	q.used = false // transfers happened but used says otherwise
 	if q.CheckStats() == nil {
 		t.Error("used/transfers disagreement not detected")
-	}
-}
-
-// TestPushEarlyPeakReconstruction exercises the out-of-order peak
-// accounting: a producer running ahead of the canonical schedule records
-// provisional depths that later pops settle. Three early pushes at
-// t=10,12,14 with one pop canonically between the first and second
-// (u=11) must reconstruct a canonical peak of 2, not the observed 3.
-func TestPushEarlyPeakReconstruction(t *testing.T) {
-	q := New(0, 1, 0, ir.I64, 4) // dst < src: consumer wins same-cycle ties
-	q.PushEarly(interp.VI(0), 20, 0, 10)
-	q.PushEarly(interp.VI(1), 22, 0, 12)
-	q.PushEarly(interp.VI(2), 24, 0, 14)
-	if q.Peak != 0 {
-		t.Fatalf("Peak settled prematurely: %d", q.Peak)
-	}
-	// Pop of seq 0 at u=11 canonically precedes the pushes at t=12 and
-	// t=14, so their depths drop to 1 and 2; the pending at t=10 folds
-	// at its observed depth 1.
-	q.Pop(11)
-	q.FoldPeak()
-	if q.Peak != 2 {
-		t.Fatalf("canonical peak = %d, want 2", q.Peak)
-	}
-}
-
-// TestPushEarlySameCycleTies pins the same-cycle tie rule: an executed
-// pop at exactly the early push's time canonically follows the push iff
-// the producer core wins the scheduler tiebreak (lower id first), in
-// which case the popped item still occupied the queue at the push.
-func TestPushEarlySameCycleTies(t *testing.T) {
-	// Producer wins (src 0 < dst 1): pop at t=7 counts back in.
-	q := New(0, 0, 1, ir.I64, 4)
-	q.Push(interp.VI(0), 5, 0)
-	q.Pop(7)
-	q.PushEarly(interp.VI(1), 9, 0, 7)
-	q.FoldPeak()
-	if q.Peak != 2 {
-		t.Fatalf("producer-wins tie: peak = %d, want 2", q.Peak)
-	}
-
-	// Consumer wins (dst 0 < src 1): the pop precedes the push.
-	q = New(0, 1, 0, ir.I64, 4)
-	q.Push(interp.VI(0), 5, 0)
-	q.Pop(7)
-	q.PushEarly(interp.VI(1), 9, 0, 7)
-	q.FoldPeak()
-	if q.Peak != 1 {
-		t.Fatalf("consumer-wins tie: peak = %d, want 1", q.Peak)
-	}
-}
-
-// TestCheckStatsFoldsPending ensures quiescent stats checks see the
-// reconstructed peak without an explicit FoldPeak call.
-func TestCheckStatsFoldsPending(t *testing.T) {
-	q := New(0, 0, 1, ir.F64, 2)
-	q.PushEarly(interp.VF(1.5), 9, 0, 4)
-	if err := q.CheckStats(); err != nil {
-		t.Fatalf("CheckStats: %v", err)
-	}
-	if q.Peak != 1 {
-		t.Fatalf("peak after CheckStats = %d, want 1", q.Peak)
 	}
 }

@@ -9,6 +9,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -91,7 +92,7 @@ func TestEntryPointConformance(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("%s: frontier: %d %s", in.name, code, data)
 		}
-		v, _, err := sweepSrv.run.Cache().Do(t.Context(), surfaceKind, fr.SurfaceAddress, nil)
+		v, _, err := sweepSrv.run.Cache().Do(context.Background(), surfaceKind, fr.SurfaceAddress, nil)
 		if err != nil {
 			t.Fatalf("%s: surface not cached: %v", in.name, err)
 		}

@@ -7,6 +7,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -244,7 +245,7 @@ func TestSweptPointCompilesNothing(t *testing.T) {
 		t.Fatalf("sweep: %d %s", code, data)
 	}
 	// The whole surface, from the cache the sweep filled.
-	v, hit, err := s.run.Cache().Do(t.Context(), surfaceKind, fr.SurfaceAddress, nil)
+	v, hit, err := s.run.Cache().Do(context.Background(), surfaceKind, fr.SurfaceAddress, nil)
 	if err != nil || !hit {
 		t.Fatalf("surface not cached: hit=%v err=%v", hit, err)
 	}

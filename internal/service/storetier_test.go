@@ -7,6 +7,7 @@
 package service
 
 import (
+	"context"
 	"io/fs"
 	"net/http/httptest"
 	"os"
@@ -217,10 +218,10 @@ func TestMemoryAndDiskHitsShareOneShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := a.run.ArtifactContext(t.Context(), k, opt); err != nil {
+	if _, _, _, err := a.run.ArtifactContext(context.Background(), k, opt); err != nil {
 		t.Fatal(err)
 	}
-	mem, memAddr, hit, err := a.run.ArtifactContext(t.Context(), k, opt)
+	mem, memAddr, hit, err := a.run.ArtifactContext(context.Background(), k, opt)
 	if err != nil || !hit {
 		t.Fatalf("memory lookup: hit=%v err=%v", hit, err)
 	}
@@ -229,7 +230,7 @@ func TestMemoryAndDiskHitsShareOneShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, diskAddr, _, err := b.run.ArtifactContext(t.Context(), k, opt)
+	disk, diskAddr, _, err := b.run.ArtifactContext(context.Background(), k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

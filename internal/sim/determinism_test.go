@@ -60,7 +60,6 @@ func diffResults(t *testing.T, label string, got, ref *sim.Result) {
 		{"LoadHits", got.LoadHits, ref.LoadHits},
 		{"LoadMisses", got.LoadMisses, ref.LoadMisses},
 		{"LiveOut", got.LiveOut, ref.LiveOut},
-		{"QueueHighWater", got.QueueHighWater, ref.QueueHighWater},
 		{"MemPortBusyCycles", got.MemPortBusyCycles, ref.MemPortBusyCycles},
 	}
 	for _, c := range checks {

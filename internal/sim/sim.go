@@ -14,11 +14,9 @@
 package sim
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"fgp/internal/cost"
@@ -56,12 +54,6 @@ type Config struct {
 	MemPortCycles int64
 	// MaxSteps bounds total executed instructions (runaway guard).
 	MaxSteps int64
-	// Trace, when non-nil, receives one line per completed instruction in
-	// canonical event order: "t=<start>..<end> core=<id> pc=<pc> <op>".
-	// Queue stalls show up as gaps between end and the next start. It is a
-	// thin adapter over Sink (obs.NewText works under either engine); the
-	// writes are buffered and flushed before Run returns.
-	Trace io.Writer
 	// Sink, when non-nil, receives the typed observability event stream —
 	// instruction retires, queue operations, stall windows with causes,
 	// region markers — in canonical order after the run, identical under
@@ -109,6 +101,14 @@ func QID(src, dst int, class ir.Kind, cores int) int32 {
 	return int32(src*cores+dst)*2 + c
 }
 
+// queueClass is the register class QID encodes in a queue id's low bit.
+func queueClass(q int32) ir.Kind {
+	if q&1 == 1 {
+		return ir.I64
+	}
+	return ir.F64
+}
+
 // Result summarizes one simulation.
 type Result struct {
 	Cycles        int64
@@ -127,9 +127,6 @@ type Result struct {
 	// LoadProfile maps TAC instruction id -> (total latency, count), when
 	// CollectProfile is set.
 	LoadProfile map[int32][2]int64
-	// QueueHighWater is each queue's peak occupancy, indexed by queue id
-	// (zero for absent or never-used queues).
-	QueueHighWater []int
 	// MemPortBusyCycles totals the cycles the shared memory port spent
 	// occupied serializing L1 misses (Config.MemPortCycles per miss).
 	MemPortBusyCycles int64
@@ -178,20 +175,18 @@ type Machine struct {
 	prof [][2]int64
 	// portBusy totals the cycles the memory port spent occupied.
 	portBusy int64
-	// Threaded-engine state (threaded.go/tcompile.go): the compiled block
-	// programs, per-core typed register files, and the machine's memory
-	// array bindings; all nil until the first threaded-mode Run.
-	tprogs []*tprog
-	tcores []*tcore
+	// Threaded-engine state (threaded.go/tcompile.go): each core's
+	// translation and typed register files, and the machine's memory array
+	// bindings; all nil until the first threaded-mode Run.
+	tcores []tcore
 	tArrF  [][]float64
 	tArrI  [][]int64
 	tBase  []int64
 
 	// Observability state (see internal/obs); all nil/false when no sink is
-	// attached, so the hot paths pay one branch. sink is the effective sink
-	// (Config.Sink plus the legacy Config.Trace adapter); obsBuf collects
-	// events per core in emission order, merged into canonical order and
-	// delivered after the run.
+	// attached, so the hot paths pay one branch. sink is Config.Sink;
+	// obsBuf collects events per core in emission order, merged into
+	// canonical order and delivered after the run.
 	sink                                     obs.Sink
 	obsRetire, obsQueue, obsStall, obsRegion bool
 	obsBuf                                   [][]obs.Event
@@ -255,57 +250,43 @@ func New(progs []*isa.Program, memory *mem.Memory, cfg Config) (*Machine, error)
 // threaded engine (runThreaded) executes each picked core in fused basic
 // blocks, and the reference engine (runReference) re-enters the global
 // scheduler after every instruction. Config.Engine selects between them.
-// Both engines feed Config.Sink and Config.Trace, and produce the
-// identical canonical event stream.
+// A run with Config.Sink attached executes on the reference scheduler under
+// either engine, so the event stream is the same.
 //
 // On error (deadlock, runaway), the events emitted so far still reach the
 // sink, so a partial trace of the failing run survives.
 func (m *Machine) Run() (*Result, error) { return m.RunContext(context.Background()) }
 
 // cancelStride is how many executed instructions may pass between context
-// checks: both schedulers poll ctx.Done() every cancelStride steps, and the
-// threaded engine also caps each pick at cancelStride steps when the
-// context is cancellable (a context.Background() run pays nothing). It
-// bounds cancellation latency to one stride — a few tens of microseconds
-// of host time — while keeping the poll off the per-instruction hot path.
+// checks: the reference scheduler polls ctx.Done() every cancelStride
+// steps, and the threaded engine polls at every pick and, when the context
+// is cancellable, ends a pick at the first block boundary past
+// cancelStride steps (a context.Background() run pays nothing). It bounds
+// cancellation latency to about one stride — a few tens of microseconds of
+// host time — while keeping the poll off the per-instruction hot path.
 // Must be a power of two.
 const cancelStride = 1 << 16
 
 // RunContext is Run with cooperative cancellation: when ctx is cancelled or
-// its deadline passes, the simulation aborts within one stride (at most
-// cancelStride instructions) and returns ctx.Err() verbatim. Events emitted
+// its deadline passes, the simulation aborts within about one stride
+// (cancelStride instructions, plus the rest of a block) and returns
+// ctx.Err() verbatim. Events emitted
 // before the abort still reach the sink, like any other error path.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	sink := m.cfg.Sink
-	var bw *bufio.Writer
-	if m.cfg.Trace != nil {
-		// The legacy text trace is an adapter over the event stream. Buffer
-		// the per-line writes; the seed wrote every line straight through.
-		bw = bufio.NewWriterSize(m.cfg.Trace, 1<<16)
-		if text := obs.NewText(bw); sink != nil {
-			sink = obs.Tee(text, sink)
-		} else {
-			sink = text
-		}
-	}
 	if sink != nil {
 		m.attachObs(sink)
 	}
 	var res *Result
 	var err error
 	if m.cfg.Engine == EngineReference {
-		res, err = m.runReference(ctx)
+		res, err = m.runReference(ctx, 0)
 	} else {
 		res, err = m.runThreaded(ctx)
 	}
 	if sink != nil {
 		if serr := m.drainObs(sink); serr != nil && err == nil {
 			err = fmt.Errorf("sim: event sink: %w", serr)
-		}
-		if bw != nil {
-			if ferr := bw.Flush(); ferr != nil && err == nil {
-				err = fmt.Errorf("sim: flushing trace: %w", ferr)
-			}
 		}
 	}
 	if err != nil {
@@ -329,10 +310,11 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 
 // runReference is the retained per-instruction scheduler: the seed
 // implementation, kept verbatim as the oracle for the threaded engine (plus
-// the strided cancellation poll both engines share).
-func (m *Machine) runReference(ctx context.Context) (*Result, error) {
+// the strided cancellation poll both engines share). steps is the number of
+// instructions already executed: 0 for a whole run, or the threaded engine's
+// count when it hands a run over.
+func (m *Machine) runReference(ctx context.Context, steps int64) (*Result, error) {
 	done := ctx.Done()
-	var steps int64
 	for {
 		if done != nil && steps&(cancelStride-1) == 0 {
 			select {
@@ -389,9 +371,9 @@ func (m *Machine) coreByID(id int) *coreState {
 }
 
 // step executes one instruction on c, emitting the completion's
-// observability events when a sink is attached. The reference scheduler and
-// the threaded engine's fallback path both come through here, so queue,
-// stall and retire emission lives in one place. The wrapper is small enough
+// observability events when a sink is attached. Every reference-scheduled
+// instruction comes through here, so queue, stall and retire emission lives
+// in one place. The wrapper is small enough
 // to inline, so the nil-sink path costs one predictable branch over calling
 // stepExec directly.
 func (m *Machine) step(c *coreState) error {
@@ -530,7 +512,7 @@ func (m *Machine) stepExec(c *coreState) error {
 			c.blockAt = c.time
 			return nil
 		}
-		e := q.Pop(c.time)
+		e := q.Pop()
 		if m.cfg.DebugEdges && in.Edge != e.Edge {
 			return fmt.Errorf("queue %s FIFO mismatch: dequeue expects edge %d, head carries edge %d", q, in.Edge, e.Edge)
 		}
@@ -616,13 +598,10 @@ func (m *Machine) result() *Result {
 		r.LoadMisses += c.cache.Misses
 	}
 	pairs := map[[2]int]bool{}
-	r.QueueHighWater = make([]int, len(m.queues))
-	for i, q := range m.queues {
+	for _, q := range m.queues {
 		if q != nil && q.Used() {
-			q.FoldPeak() // settle any relaxed-order pushes (threaded engine)
 			r.QueuesUsed++
 			r.Transfers += q.Transfers
-			r.QueueHighWater[i] = q.Peak
 			pairs[[2]int{q.Src, q.Dst}] = true
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"fgp/internal/ir"
 	"fgp/internal/isa"
 	"fgp/internal/mem"
+	"fgp/internal/obs"
 )
 
 // prog builds a program from instructions, assigning register counts.
@@ -491,7 +492,7 @@ func TestLiveOutExtraction(t *testing.T) {
 func TestTraceOutput(t *testing.T) {
 	var buf strings.Builder
 	c := cfg1()
-	c.Trace = &buf
+	c.Sink = obs.NewText(&buf)
 	p := prog(0,
 		isa.Instr{Op: isa.ConstI, Dst: 0, A: noReg, B: noReg, ImmI: 1},
 		isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.I64, Dst: 1, A: 0, B: 0},

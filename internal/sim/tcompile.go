@@ -27,20 +27,24 @@
 // engine. compileThreaded runs that analysis:
 //
 //   - kind unification: every register gets a single static kind consistent
-//     with all its definitions and kind-sensitive uses (union-find);
-//   - definite assignment: every read is dominated by a write on all paths,
-//     so typed execution never observes the zero Value's F64 kind;
-//   - live-out safety: registers named in RegName are definitely assigned
-//     at every halt (or never assigned at all), so boxing them back to
-//     interp.Values at halt is exact;
+//     with all its definitions and kind-sensitive uses (union-find); a queue
+//     op's K must be its queue's class, and pins its Enq source or Deq
+//     destination, so every queued value has its queue's kind;
+//   - definite assignment: every read of an I64 register is dominated by a
+//     write on all paths, so typed execution never observes the zero
+//     Value's F64 kind where it expects an integer (a zeroed F64 slot reads
+//     what the zero Value reads, so F64 registers need no such proof);
+//   - live-out safety: I64 registers named in RegName are definitely
+//     assigned at every halt (or never assigned at all), so boxing them
+//     back to interp.Values at halt is exact;
 //   - the only indirect jump allowed is the canonical secondary-thread
 //     driver (pc0 deq / pc1 fjp / pc2 jr), whose jump register provably
-//     holds the value a cooperating primary enqueued; a runtime guard
-//     deoptimizes the core to the reference step if the target is ever not
-//     the driver body.
+//     holds the value a cooperating primary enqueued; a runtime guard hands
+//     the run to the reference scheduler if the target is ever not the
+//     driver body.
 //
-// A program failing any check is simply ineligible: the machine runs that
-// core one reference step per scheduler pick, so eligibility is purely a
+// A machine runs threaded only when every core's program passes; otherwise
+// the whole run goes to the reference scheduler, so eligibility is purely a
 // performance property — never a correctness one.
 //
 // Compiled tprogs are immutable. Each program owns its translations, one
@@ -123,7 +127,7 @@ const (
 
 	tEnqF // time-sync point; yields unless provably ahead of the horizon
 	tEnqI
-	tDeqF // time-sync point; runtime kind guard may deoptimize
+	tDeqF // time-sync point
 	tDeqI
 )
 
@@ -137,9 +141,9 @@ const (
 //
 // Packing limits (checked by compileThreaded; violations make the program
 // ineligible, never wrong): register indices fit uint16, array ids fit
-// uint8, folded charges fit int32. Queue micro-ops reuse the fields: arr
-// holds the queue id (fits uint8) and b the edge tag (fits uint16). Unused
-// operand fields hold the wrapped noReg sentinel and are never read.
+// uint8, folded charges fit int32. Queue micro-ops keep the queue id in b
+// (fits uint16) and their edge tag in taux. Unused operand fields hold the
+// wrapped noReg sentinel and are never read.
 type top struct {
 	u    tuop
 	arr  uint8
@@ -150,13 +154,14 @@ type top struct {
 
 // taux holds the micro-op operands that only matter off the hot path:
 // constants, the originating pc and operator (exact trap errors, yield
-// resume points) and the profiling slot. Indexed in lockstep with the ops
-// array.
+// resume points), the profiling slot and a queue op's edge tag (read only
+// under Config.DebugEdges). Indexed in lockstep with the ops array.
 type taux struct {
 	immI  int64
 	immF  float64
 	pc    int32
 	tac   int32
+	edge  int32
 	binop ir.BinOp // originating operator, for exact trap errors
 }
 
@@ -412,6 +417,10 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 			if !(isDriver && pc == 2) {
 				return bad("pc %d: indirect jump outside the canonical driver", pc)
 			}
+		case isa.Enq, isa.Deq:
+			if in.K != queueClass(in.Q) {
+				return bad("pc %d: %s of kind %s on queue %d of class %s", pc, in.Op, in.K, in.Q, queueClass(in.Q))
+			}
 		}
 		// Every instruction that can reach pc+1 needs pc+1 to exist.
 		fallsThrough := true
@@ -469,8 +478,10 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 			ks.set(int32(in.B), in.K)
 		case isa.Fjp, isa.Jr:
 			ks.set(int32(in.A), ir.I64)
-			// Enq boxes with the solved kind, Deq guards at runtime: no
-			// constraints from the queue ops themselves.
+		case isa.Enq:
+			ks.set(int32(in.A), in.K)
+		case isa.Deq:
+			ks.set(int32(in.Dst), in.K)
 		}
 		if ks.bad {
 			return bad("pc %d: register kind conflict", pc)
@@ -527,7 +538,7 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 			}
 			ax := taux{
 				immI: in.ImmI, immF: in.ImmF,
-				pc: int32(pc), tac: in.Tac, binop: in.BinOp,
+				pc: int32(pc), tac: in.Tac, edge: in.Edge, binop: in.BinOp,
 			}
 			sync := false
 			switch in.Op {
@@ -592,28 +603,22 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 					o.u = tStoreI
 				}
 			case isa.Enq, isa.Deq:
-				// Queue micro-ops pack the queue id into arr and the edge tag
-				// into b; they re-synchronize time dynamically like loads.
-				if in.Q < 0 || in.Q > math.MaxUint8 {
+				// Queue micro-ops pack the queue id into b; they
+				// re-synchronize time dynamically like loads. The kind is
+				// the queue's class, which the structural pass checked.
+				if in.Q < 0 || in.Q > math.MaxUint16 {
 					return bad("pc %d: queue id %d outside the packed encoding", pc, in.Q)
 				}
-				if in.Edge < 0 || in.Edge > math.MaxUint16 {
-					return bad("pc %d: edge tag %d outside the packed encoding", pc, in.Edge)
-				}
-				o.arr = uint8(in.Q)
-				o.b = uint16(in.Edge)
-				if in.Op == isa.Enq {
-					if ks.kindOf(in.A) == ir.F64 {
-						o.u = tEnqF
-					} else {
-						o.u = tEnqI
-					}
-				} else {
-					if ks.kindOf(in.Dst) == ir.F64 {
-						o.u = tDeqF
-					} else {
-						o.u = tDeqI
-					}
+				o.b = uint16(in.Q)
+				switch {
+				case in.Op == isa.Enq && in.K == ir.F64:
+					o.u = tEnqF
+				case in.Op == isa.Enq:
+					o.u = tEnqI
+				case in.K == ir.F64:
+					o.u = tDeqF
+				default:
+					o.u = tDeqI
 				}
 				sync = true
 			}
@@ -742,9 +747,11 @@ func binTuop(op ir.BinOp, k ir.Kind) (tuop, bool) {
 }
 
 // checkDefiniteAssignment runs the must-assign dataflow and returns a
-// non-empty reason string on failure. On success it also verifies the
-// live-out condition: every RegName register is definitely assigned at each
-// reachable halt, or never assigned anywhere.
+// non-empty reason string when an I64 register may be read unassigned. It
+// also verifies the live-out condition: every I64 RegName register is
+// definitely assigned at each reachable halt, or never assigned anywhere.
+// F64 registers are exempt: an unassigned one reads as the zero Value,
+// which is exactly what a zeroed F64 slot boxes to.
 //
 // The analysis runs over its own fine-grained partition — leaders at every
 // branch target and after every control transfer — independent of the
@@ -901,7 +908,7 @@ func checkDefiniteAssignment(p *isa.Program, tp *tprog) string {
 			inst := &p.Instrs[pc]
 			reads = instrReads(inst, reads[:0])
 			for _, r := range reads {
-				if !cur.has(int32(r)) {
+				if !cur.has(int32(r)) && tp.kinds[r] == ir.I64 {
 					return fmt.Sprintf("pc %d: read of possibly-unassigned register %d", pc, r)
 				}
 			}
@@ -911,7 +918,7 @@ func checkDefiniteAssignment(p *isa.Program, tp *tprog) string {
 		}
 		if p.Instrs[end].Op == isa.Halt && len(p.RegName) > 0 {
 			for r := range p.RegName {
-				if !cur.has(int32(r)) && everDef.has(int32(r)) {
+				if !cur.has(int32(r)) && everDef.has(int32(r)) && tp.kinds[r] == ir.I64 {
 					return fmt.Sprintf("pc %d: live-out register %d possibly unassigned at halt", end, r)
 				}
 			}

@@ -23,10 +23,10 @@
 // block's sync points: a load eagerly applies the folded static charge
 // accrued since the previous sync (op.pre), then its own dynamic latency;
 // the block's terminator applies the remaining tail. Entering a block at
-// an arbitrary op j (resuming after a yield, a blocked queue, or a
-// reference step) subtracts preAt(b, j) once, which makes cold entry,
-// mid-block resume and terminator-entry all the same code path: c.pc is
-// the only resume state.
+// an arbitrary op j (resuming after a yield, a blocked queue, or a pick
+// that ended at a block boundary) subtracts preAt(b, j) once, which makes
+// cold entry, mid-block resume and terminator-entry all the same code
+// path: c.pc is the only resume state.
 //
 // Yield discipline:
 //   - loads that would miss while the core is past the (time, id) horizon
@@ -36,26 +36,24 @@
 //     yield; full/empty queues block with the exact stall bookkeeping of
 //     the reference step (the two order-independent cases that may run
 //     past the horizon are argued at their micro-ops below);
-//   - the per-pick step budget (MaxSteps remainder, clamped to
-//     cancelStride under a cancellable context) bounds a pick at block
-//     granularity; a pick that cannot fit even one block executes a single
-//     reference step instead.
+//   - under a cancellable context a pick ends at the first block boundary
+//     past cancelStride steps.
 //
-// Fallback. A core whose program fails translation, or that deoptimized at
-// run time, executes one reference step (m.step) per scheduler pick, which
-// is bit-identical by construction. Two runtime guards deoptimize what
-// static analysis cannot cover: an indirect jump whose target is not the
-// canonical driver body, and a dequeued value whose kind differs from the
-// statically solved one. Both materialize the typed registers back into
-// the boxed register file, complete the faulting instruction with
-// reference semantics, and permanently hand the core to the step fallback.
-// Materialization is exact because every dynamically-assigned register
-// holds a "clean" Value (single-field, as interp constructs them) of the
-// solved kind, and the definite-assignment analysis proves reads never
-// observe unassigned registers.
-//
-// With an event sink attached the whole run goes to runReference, so the
-// event stream is the reference engine's by construction.
+// Eligibility and hand-over. A machine runs threaded only when every
+// core's program translates (tcompile.go); otherwise, and whenever an event
+// sink is attached, the whole run goes to runReference. A translated run
+// hands over to runReference mid-run in two cases static analysis cannot
+// cover: an indirect jump whose target is not the canonical driver body,
+// and a block that would run past the MaxSteps remainder. The hand-over
+// boxes every core's typed registers back into its interp.Value file once
+// and continues from the executed step count. Boxing is exact because every
+// assigned register holds a "clean" Value (single-field, as interp
+// constructs them) of the solved kind, an unassigned F64 slot boxes to the
+// zero Value, and the definite-assignment analysis proves that no path the
+// translation knows reads an unassigned I64 register. An off-script jump is
+// a path it does not know: code that then reads an I64 register never
+// written on that path sees the boxed integer 0 where the reference sees
+// the zero Value. No compiled program dispatches off-script.
 
 package sim
 
@@ -66,45 +64,34 @@ import (
 
 	"fgp/internal/interp"
 	"fgp/internal/ir"
+	"fgp/internal/isa"
 )
 
-// tcore is the per-core runtime state of the threaded engine: the split
-// typed register files and the deoptimization latches.
+// tcore is the per-core runtime state of the threaded engine: the core's
+// translation and its split typed register files.
 type tcore struct {
-	tp    *tprog // this core's compiled program (hot-path copy of m.tprogs[id])
+	tp    *tprog
 	fregs []float64
 	iregs []int64
-	deopt bool // permanently on the reference step (a runtime guard failed)
-	stale bool // typed files must be rehydrated from c.regs before use
 }
 
-// tinit fetches every per-core program's translation (building it on the
-// program's first simulation under this cost table) and binds the
-// machine's memory arrays. Cores whose
-// programs are ineligible simply keep a nil tcore and run on the reference
-// step.
-func (m *Machine) tinit() {
-	if m.tprogs != nil {
-		return
-	}
-	m.tprogs = make([]*tprog, len(m.cores))
-	m.tcores = make([]*tcore, len(m.cores))
+// tinit fetches every core's translation (building it on the program's
+// first simulation under this cost table) and binds the machine's memory
+// arrays. It reports whether every core translated.
+func (m *Machine) tinit() bool {
+	m.tcores = make([]tcore, len(m.cores))
 	maxArr := int32(-1)
 	for i, c := range m.cores {
 		tp := threadedFor(c.prog, m.cfg.Cost)
-		m.tprogs[i] = tp
 		if !tp.ok {
-			continue
+			return false
 		}
-		m.tcores[i] = &tcore{
+		m.tcores[i] = tcore{
 			tp:    tp,
 			fregs: make([]float64, len(c.regs)),
 			iregs: make([]int64, len(c.regs)),
-			stale: true,
 		}
-		if tp.maxArr > maxArr {
-			maxArr = tp.maxArr
-		}
+		maxArr = max(maxArr, tp.maxArr)
 	}
 	m.tArrF = make([][]float64, maxArr+1)
 	m.tArrI = make([][]int64, maxArr+1)
@@ -114,93 +101,54 @@ func (m *Machine) tinit() {
 		m.tArrI[arr] = m.mm.DataI(arr)
 		m.tBase[arr] = m.mm.Base(arr)
 	}
+	return true
 }
 
-// tmaterialize boxes the typed register files back into c.regs. Exact for
-// every register the subsequent boxed execution can observe: assigned
-// registers hold clean single-field Values of the solved kind, and the
-// definite-assignment analysis guarantees unassigned ones are rewritten
-// before any read (the live-out rule covers the halt extraction).
-func (m *Machine) tmaterialize(c *coreState, tc *tcore) {
-	kinds := m.tprogs[c.id].kinds
-	for r := range c.regs {
-		if kinds[r] == ir.F64 {
-			c.regs[r] = interp.Value{K: ir.F64, F: tc.fregs[r]}
-		} else {
-			c.regs[r] = interp.Value{K: ir.I64, I: tc.iregs[r]}
-		}
-	}
-	tc.stale = true
-}
-
-// runThreaded is the outer scheduler of the threaded engine: the reference
-// scheduler with block-granular picks for eligible cores.
+// runThreaded runs the machine on the threaded engine when it can, and on
+// the reference scheduler otherwise.
 func (m *Machine) runThreaded(ctx context.Context) (*Result, error) {
-	if m.sink != nil {
+	if m.sink != nil || !m.tinit() {
 		// Under instrumentation every instruction must flow through the
-		// shared step path so the event stream matches the reference engine
+		// shared step path so the event stream is the reference engine's
 		// by construction.
-		return m.runReference(ctx)
+		return m.runReference(ctx, 0)
 	}
-	m.tinit()
-	done := ctx.Done()
-	var steps, poll int64
-	for {
-		if done != nil && steps >= poll {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-			poll = steps + cancelStride
-		}
-		c, hTime, hID := m.pickCore2()
-		if c == nil {
-			if m.allHalted() {
-				break
-			}
-			return nil, fmt.Errorf("%w\n%s", ErrDeadlock, m.dump())
-		}
-		if tc := m.tcores[c.id]; tc != nil && !tc.deopt {
-			// Eligible pick: enter the resident scheduler, which keeps
-			// executing picks (of any eligible core) without unwinding, and
-			// hands back only when the next pick needs the fallback path.
-			n, err := m.trun(ctx, c, tc, hTime, hID, steps)
-			steps += n
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			// Ineligible or deoptimized core: one reference step per pick.
-			if err := m.step(c); err != nil {
-				return nil, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, err)
-			}
-			steps++
-		}
-		if steps > m.cfg.MaxSteps {
-			return nil, fmt.Errorf("sim: exceeded MaxSteps=%d (livelock?)\n%s", m.cfg.MaxSteps, m.dump())
+	return m.trun(ctx)
+}
+
+// boxed returns typed register r as the interp.Value of its solved kind.
+func (tc *tcore) boxed(r isa.Reg) interp.Value {
+	if tc.tp.kinds[r] == ir.F64 {
+		return interp.Value{K: ir.F64, F: tc.fregs[r]}
+	}
+	return interp.Value{K: ir.I64, I: tc.iregs[r]}
+}
+
+// handOver boxes every core's typed registers into c.regs and finishes the
+// run on the reference scheduler; steps is the count executed so far.
+func (m *Machine) handOver(ctx context.Context, steps int64) (*Result, error) {
+	for i, c := range m.cores {
+		for r := range c.regs {
+			c.regs[r] = m.tcores[i].boxed(isa.Reg(r))
 		}
 	}
-	return m.result(), nil
+	return m.runReference(ctx, steps)
 }
 
 // trun is the resident scheduler of the threaded engine: it executes
 // scheduler picks back to back — at block granularity, switching cores
-// without unwinding — for as long as every pick lands on an eligible,
-// non-deoptimized core. Machine-wide invariants (cost parameters, memory
-// bindings, the port cursor) stay in registers across picks; only the
-// per-core state is rebound on a core switch. It returns the number of
-// instructions executed since entry and hands control back to runThreaded
-// when the next pick needs the fallback path (ineligible or deoptimized
-// core), when all cores halt or block, on cancellation, or on any error
-// (already wrapped exactly as the reference scheduler would).
+// without unwinding — until every core halts, the machine deadlocks, the
+// run fails or is cancelled, or it hands over to the reference scheduler.
+// Machine-wide invariants (cost parameters, memory bindings, the port
+// cursor) stay in registers across picks; only the per-core state is
+// rebound on a core switch. Errors are wrapped exactly as the reference
+// scheduler wraps them.
 //
-// On entry c is the scheduler's (time, id)-minimal pick with horizon
-// (hTime, hID), so the first instruction — including a communication op or
-// a missing load — is safe to execute. steps0 is the global step count so
-// far (for MaxSteps accounting and per-pick budgets). Every pick exit path
-// writes c.pc and c.time itself (they differ per path).
-func (m *Machine) trun(ctx context.Context, c *coreState, tc *tcore, hTime int64, hID int, steps0 int64) (int64, error) {
+// Each pick's core c is the scheduler's (time, id)-minimal pick with
+// horizon (hTime, hID), so its first instruction — including a
+// communication op or a missing load — is safe to execute. Every pick exit
+// path writes c.pc and c.time itself (they differ per path).
+func (m *Machine) trun(ctx context.Context) (*Result, error) {
 	done := ctx.Done()
 	maxSteps := m.cfg.MaxSteps
 	portOn := m.cfg.MemPortCycles > 0
@@ -215,27 +163,28 @@ func (m *Machine) trun(ctx context.Context, c *coreState, tc *tcore, hTime int64
 	tArrF, tArrI, tBase := m.tArrF, m.tArrI, m.tBase
 	queues := m.queues
 	enqLat, deqLat := m.cfg.Cost.Enq, m.cfg.Cost.Deq
-	stepsTotal := steps0
+	var stepsTotal int64
 
-pick:
 	for {
-		tp := tc.tp
-		if c.pc < 0 || c.pc >= len(tp.pcmap) {
+		if done != nil {
+			select {
+			case <-done:
+				return nil, ctx.Err()
+			default:
+			}
+		}
+		c, hTime, hID := m.pickCore2()
+		if c == nil {
 			m.memPortFree = portFree
 			m.portBusy = portBusy
-			return stepsTotal - steps0, fmt.Errorf("sim: core %d pc %d t=%d: pc out of program (len %d)", c.id, c.pc, c.time, len(tp.pcmap))
-		}
-		budget := maxSteps - stepsTotal + 1
-		if done != nil && budget > cancelStride {
-			budget = cancelStride
-		}
-		if tc.stale {
-			for r := range c.regs {
-				tc.fregs[r] = c.regs[r].F
-				tc.iregs[r] = c.regs[r].I
+			if m.allHalted() {
+				return m.result(), nil
 			}
-			tc.stale = false
+			return nil, fmt.Errorf("%w\n%s", ErrDeadlock, m.dump())
 		}
+		tc := &m.tcores[c.id]
+		tp := tc.tp
+		budget := maxSteps - stepsTotal + 1
 		fregs, iregs := tc.fregs, tc.iregs
 		cc := c.cache
 		cid := c.id
@@ -243,6 +192,7 @@ pick:
 		blks := tp.blocks
 		var steps int64
 		var err error
+		handOver := false
 
 		ref := tp.pcmap[c.pc]
 		b := &blks[ref.blk]
@@ -255,27 +205,13 @@ pick:
 
 	blocks:
 		for {
+			// A block that would pass the MaxSteps remainder goes to the
+			// reference scheduler, which stops at the exact instruction.
 			rem := int64(len(ops)-op) + 1 // every block ends at a terminator
-			if steps+rem > budget {
-				time += preAt(b, op)
+			handOver = steps+rem > budget
+			if handOver || (done != nil && steps >= cancelStride) {
 				c.pc = pcAt(b, op)
-				c.time = time
-				if steps == 0 {
-					// A pick must make progress: run one reference step
-					// (bit-identical), leaving the typed files stale for the
-					// next pick. step updates c.instrs itself, so steps stays
-					// zero here.
-					m.memPortFree = portFree
-					m.portBusy = portBusy
-					m.tmaterialize(c, tc)
-					serr := m.step(c)
-					portFree = m.memPortFree
-					portBusy = m.portBusy
-					stepsTotal++
-					if serr != nil {
-						return stepsTotal - steps0, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, serr)
-					}
-				}
+				c.time = time + preAt(b, op)
 				break blocks
 			}
 			op0 := op
@@ -523,7 +459,7 @@ pick:
 
 				case tEnqF, tEnqI:
 					time += int64(o.pre) // sync: comm timing is exact from here
-					q := queues[o.arr]
+					q := queues[o.b]
 					if q == nil {
 						if steps+int64(op-op0) > 0 {
 							// Mid-chain: yield first; the error is raised on the
@@ -533,7 +469,7 @@ pick:
 							c.time = time
 							break blocks
 						}
-						err = fmt.Errorf("no hardware queue %d (cross-group transfer)", o.arr)
+						err = fmt.Errorf("no hardware queue %d (cross-group transfer)", o.b)
 						c.pc = int(aux[op].pc)
 						c.time = time
 						break blocks
@@ -562,22 +498,16 @@ pick:
 					// the scheduler owes first only shorten the queue (they
 					// cannot fill it), and an empty-blocked consumer woken now
 					// dequeues with the same start time it would have seen had
-					// it blocked and been woken in scheduler order. Only the
-					// peak-occupancy statistic observes the relaxed order, so
-					// past-horizon pushes record their depth via PushEarly,
-					// which reconstructs the canonical depth as the consumer's
-					// pops reveal where they fall relative to this push.
+					// it blocked and been woken in scheduler order. Nothing
+					// records the occupancy a push sees, so the relaxed order
+					// is unobservable.
 					var v interp.Value
 					if o.u == tEnqF {
 						v = interp.Value{K: ir.F64, F: fregs[o.a]}
 					} else {
 						v = interp.Value{K: ir.I64, I: iregs[o.a]}
 					}
-					if time < hTime || (time == hTime && cid < hID) {
-						q.Push(v, time+transferLat, int32(o.b))
-					} else {
-						q.PushEarly(v, time+transferLat, int32(o.b), time)
-					}
+					q.Push(v, time+transferLat, aux[op].edge)
 					time += enqLat
 					if dst := m.coreByID(q.Dst); dst != nil && dst.blocked == blockedEmpty && dst.blockQ == q {
 						dst.blocked = notBlocked
@@ -592,7 +522,7 @@ pick:
 
 				case tDeqF, tDeqI:
 					time += int64(o.pre) // sync: comm timing is exact from here
-					q := queues[o.arr]
+					q := queues[o.b]
 					if q == nil {
 						if steps+int64(op-op0) > 0 {
 							steps += int64(op - op0)
@@ -600,7 +530,7 @@ pick:
 							c.time = time
 							break blocks
 						}
-						err = fmt.Errorf("no hardware queue %d (cross-group transfer)", o.arr)
+						err = fmt.Errorf("no hardware queue %d (cross-group transfer)", o.b)
 						c.pc = int(aux[op].pc)
 						c.time = time
 						break blocks
@@ -628,42 +558,11 @@ pick:
 						c.time = time
 						break blocks
 					}
-					e := q.Pop(time)
-					if (o.u == tDeqF) != (e.V.K == ir.F64) {
-						// The dequeued kind contradicts the static solution: box the
-						// registers, complete the dequeue with reference semantics,
-						// and permanently deoptimize this core.
-						m.tmaterialize(c, tc)
-						tc.deopt = true
-						if dbgEdges && int32(o.b) != e.Edge {
-							err = fmt.Errorf("queue %s FIFO mismatch: dequeue expects edge %d, head carries edge %d", q, int32(o.b), e.Edge)
-							steps += int64(op - op0)
-							c.pc = int(aux[op].pc)
-							c.time = time
-							break blocks
-						}
-						start := time
-						if e.AvailAt > start {
-							start = e.AvailAt
-						}
-						c.deqSt += start - time
-						c.regs[o.dst] = e.V
-						time = start + deqLat
-						steps += int64(op-op0) + 1
-						if src := m.coreByID(q.Src); src != nil && src.blocked == blockedFull && src.blockQ == q {
-							src.blocked = notBlocked
-							src.blockQ = nil
-							src.enqSt += start - src.blockAt
-							if src.time < start {
-								src.time = start
-							}
-						}
-						c.pc = int(aux[op].pc) + 1
-						c.time = time
-						break blocks
-					}
-					if dbgEdges && int32(o.b) != e.Edge {
-						err = fmt.Errorf("queue %s FIFO mismatch: dequeue expects edge %d, head carries edge %d", q, int32(o.b), e.Edge)
+					// Every queued value has the queue's class, which is this
+					// dequeue's kind (tcompile.go).
+					e := q.Pop()
+					if dbgEdges && aux[op].edge != e.Edge {
+						err = fmt.Errorf("queue %s FIFO mismatch: dequeue expects edge %d, head carries edge %d", q, aux[op].edge, e.Edge)
 						steps += int64(op - op0)
 						c.pc = int(aux[op].pc)
 						c.time = time
@@ -739,13 +638,13 @@ pick:
 				time += b.tlat
 				steps++
 				if tgt != driverLen {
-					// Off-script indirect jump: permanently deoptimize to the
-					// reference step, which handles any target (including an
-					// out-of-program pc, with the exact reference error).
+					// Off-script indirect jump: hand the run over to the
+					// reference scheduler, which handles any target
+					// (including an out-of-program pc, with the exact
+					// reference error).
 					c.pc = int(tgt)
 					c.time = time
-					m.tmaterialize(c, tc)
-					tc.deopt = true
+					handOver = true
 					break blocks
 				}
 				t := b.tgt
@@ -760,11 +659,7 @@ pick:
 				steps++
 				// Box the live-out registers so result() extracts exact Values.
 				for _, r := range tp.named {
-					if tp.kinds[r] == ir.F64 {
-						c.regs[r] = interp.Value{K: ir.F64, F: fregs[r]}
-					} else {
-						c.regs[r] = interp.Value{K: ir.I64, I: iregs[r]}
-					}
+					c.regs[r] = tc.boxed(r)
 				}
 				c.pc = int(b.termPC)
 				c.time = time
@@ -777,36 +672,19 @@ pick:
 		if err != nil {
 			m.memPortFree = portFree
 			m.portBusy = portBusy
-			return stepsTotal - steps0, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, err)
+			return nil, fmt.Errorf("sim: core %d pc %d t=%d: %w", c.id, c.pc, c.time, err)
 		}
 		if stepsTotal > maxSteps {
 			m.memPortFree = portFree
 			m.portBusy = portBusy
-			return stepsTotal - steps0, fmt.Errorf("sim: exceeded MaxSteps=%d (livelock?)\n%s", maxSteps, m.dump())
+			return nil, fmt.Errorf("sim: exceeded MaxSteps=%d (livelock?)\n%s", maxSteps, m.dump())
 		}
-		if done != nil {
-			select {
-			case <-done:
-				m.memPortFree = portFree
-				m.portBusy = portBusy
-				return stepsTotal - steps0, ctx.Err()
-			default:
-			}
+		if handOver {
+			m.memPortFree = portFree
+			m.portBusy = portBusy
+			return m.handOver(ctx, stepsTotal)
 		}
-		c2, hT, hI := m.pickCore2()
-		if c2 == nil {
-			break pick // all halted or blocked: runThreaded decides which
-		}
-		tc2 := m.tcores[c2.id]
-		if tc2 == nil || tc2.deopt {
-			break pick // next pick needs the fallback path
-		}
-		c, tc, hTime, hID = c2, tc2, hT, hI
 	}
-
-	m.memPortFree = portFree
-	m.portBusy = portBusy
-	return stepsTotal - steps0, nil
 }
 
 // pickCore2 returns the scheduler's (time, id)-minimal runnable core (the

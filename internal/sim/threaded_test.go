@@ -52,9 +52,11 @@ func TestThreadedPartitionShape(t *testing.T) {
 	}
 }
 
-// ineligibleCase is one program the translation pass must refuse. runs
-// marks the programs that also complete under the reference step (the
-// others trap, loop forever, or name a queue the machine lacks).
+// ineligibleCase is one program at the edge of what the translation pass
+// accepts: it must refuse the program with reason, or translate it when
+// reason is empty. runs marks the programs that also complete under the
+// reference step (the others trap, loop forever, or name a queue the
+// machine lacks).
 type ineligibleCase struct {
 	name   string
 	prog   *isa.Program
@@ -67,6 +69,16 @@ func ineligibleCases() []ineligibleCase {
 		return isa.Instr{Op: isa.ConstI, Dst: dst, A: noReg, B: noReg, ImmI: v}
 	}
 	halt := isa.Instr{Op: isa.Halt, Dst: noReg, A: noReg, B: noReg}
+	// r1 is written on one path only, then read and named as a live-out:
+	// an unassigned F64 register reads and boxes as the zero Value.
+	f64Read := prog(0,
+		ci(0, 0),
+		isa.Instr{Op: isa.Fjp, A: 0, B: noReg, Dst: noReg, Tgt: 3},
+		isa.Instr{Op: isa.ConstF, Dst: 1, A: noReg, B: noReg, ImmF: 2.5},
+		isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.F64, Dst: 2, A: 1, B: 1},
+		halt,
+	)
+	f64Read.RegName = map[isa.Reg]string{1: "x", 2: "y"}
 	return []ineligibleCase{
 		{"empty", prog(0), "empty program", false},
 		{"jr outside driver", prog(0,
@@ -85,19 +97,31 @@ func ineligibleCases() []ineligibleCase {
 			halt,
 		), "kind conflict", false},
 		{"possibly unassigned read", prog(0,
-			isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.I64, Dst: 1, A: 0, B: 0},
+			// r0 shares r1's I64 kind but is never written.
+			ci(1, 1),
+			isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.I64, Dst: 2, A: 0, B: 1},
 			halt,
-		), "possibly-unassigned", true},
+		), "read of possibly-unassigned register 0", true},
+		{"unassigned f64 read", f64Read, "", true},
+		{"queue class mismatch", prog(0,
+			// Queue 1 carries the I64 class (QID's low bit).
+			isa.Instr{Op: isa.ConstF, Dst: 0, A: noReg, B: noReg, ImmF: 1.5},
+			isa.Instr{Op: isa.Enq, A: 0, B: noReg, Dst: noReg, K: ir.F64, Q: 1, Edge: 1},
+			halt,
+		), "enq of kind f64 on queue 1 of class i64", true},
 		{"queue id outside packing", prog(0,
 			ci(0, 1),
-			isa.Instr{Op: isa.Enq, A: 0, B: noReg, Dst: noReg, K: ir.I64, Q: 300, Edge: 1},
+			isa.Instr{Op: isa.Enq, A: 0, B: noReg, Dst: noReg, K: ir.I64, Q: 65537, Edge: 1},
 			halt,
-		), "queue id 300 outside the packed encoding", false},
+		), "queue id 65537 outside the packed encoding", false},
 		{"edge tag outside packing", prog(0,
+			// Edge tags live in taux, so a tag past 16 bits translates and
+			// is still checked under DebugEdges.
 			ci(0, 1),
-			isa.Instr{Op: isa.Enq, A: 0, B: noReg, Dst: noReg, K: ir.I64, Q: 0, Edge: 70000},
+			isa.Instr{Op: isa.Enq, A: 0, B: noReg, Dst: noReg, K: ir.I64, Q: 1, Edge: 70000},
+			isa.Instr{Op: isa.Deq, Dst: 1, A: noReg, B: noReg, K: ir.I64, Q: 1, Edge: 70000},
 			halt,
-		), "edge tag 70000 outside the packed encoding", true},
+		), "", true},
 		{"register count outside packing", prog(0,
 			ci(70000, 1),
 			halt,
@@ -105,12 +129,27 @@ func ineligibleCases() []ineligibleCase {
 	}
 }
 
-// TestThreadedIneligibility covers the soundness checks that demote a
-// program to the reference step, by reason.
+// TestThreadedIneligibility covers the soundness checks that refuse a
+// program, by reason, and the shapes next to them that translate: those
+// must also run alone, under DebugEdges, exactly as on the reference.
 func TestThreadedIneligibility(t *testing.T) {
 	for _, tc := range ineligibleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			tp := compileThreaded(tc.prog, DefaultConfig(1).Cost)
+			if tc.reason == "" {
+				if !tp.ok {
+					t.Fatalf("program refused: %s", tp.reason)
+				}
+				cfg := DefaultConfig(1)
+				cfg.DebugEdges = true
+				progs := []*isa.Program{tc.prog}
+				ref, _ := runOn(t, progs, mem.New, cfg, EngineReference)
+				thr, _ := runOn(t, progs, mem.New, cfg, EngineThreaded)
+				if !reflect.DeepEqual(thr, ref) {
+					t.Errorf("results diverge:\n  threaded  %+v\n  reference %+v", thr, ref)
+				}
+				return
+			}
 			if tp.ok {
 				t.Fatalf("program unexpectedly eligible")
 			}
@@ -152,11 +191,11 @@ func sumMemory() *mem.Memory {
 	return mm
 }
 
-// TestThreadedIneligibleNextToEligible runs every runnable ineligible
-// program beside an eligible core, in both core orders, and requires the
-// threaded engine — stepping the ineligible core one reference step per
-// pick while fusing the other's blocks — to reproduce the reference Result
-// exactly.
+// TestThreadedIneligibleNextToEligible runs every runnable case program
+// beside an eligible core, in both core orders, and requires the threaded
+// engine — which runs a machine with a refused core on the reference
+// scheduler, and any other fully threaded — to reproduce the reference
+// Result exactly.
 func TestThreadedIneligibleNextToEligible(t *testing.T) {
 	if tp := compileThreaded(sumLoop(0), DefaultConfig(2).Cost); !tp.ok {
 		t.Fatalf("sumLoop must be eligible: %s", tp.reason)
@@ -183,9 +222,9 @@ func TestThreadedIneligibleNextToEligible(t *testing.T) {
 }
 
 // TestThreadedMaxStepsSmallerThanBlock: when the remaining step budget
-// cannot fit one block, the threaded engine falls back to one reference
-// step per pick, so it trips the runaway guard at the same instruction —
-// with the same machine-state dump — as the reference engine.
+// cannot fit the next block, the threaded engine hands the run over to the
+// reference scheduler, so it trips the runaway guard at the same
+// instruction — with the same machine-state dump — as the reference engine.
 func TestThreadedMaxStepsSmallerThanBlock(t *testing.T) {
 	if tp := compileThreaded(spinProg(1<<40), DefaultConfig(1).Cost); !tp.ok {
 		t.Fatalf("spinProg must be eligible: %s", tp.reason)
@@ -234,8 +273,8 @@ func runOn(t *testing.T, progs []*isa.Program, build func() *mem.Memory, cfg Con
 }
 
 // TestThreadedJrDeoptMatchesReference drives the indirect-jump guard: the
-// primary dispatches a non-canonical Jr target, which must deoptimize the
-// secondary onto the reference step mid-run with bit-identical results.
+// primary dispatches a non-canonical Jr target, which must hand the run
+// over to the reference scheduler mid-run with bit-identical results.
 func TestThreadedJrDeoptMatchesReference(t *testing.T) {
 	q := QID(0, 1, ir.I64, 2)
 	ci := func(dst isa.Reg, v int64) isa.Instr {
@@ -262,7 +301,7 @@ func TestThreadedJrDeoptMatchesReference(t *testing.T) {
 		halt, // 9
 	)
 	if tp := compileThreaded(secondary, DefaultConfig(2).Cost); !tp.ok {
-		t.Fatalf("secondary must be eligible (deopt is a runtime event): %s", tp.reason)
+		t.Fatalf("secondary must be eligible (the hand-over is a runtime event): %s", tp.reason)
 	}
 	build := func() *mem.Memory {
 		mm := mem.New()
@@ -279,7 +318,7 @@ func TestThreadedJrDeoptMatchesReference(t *testing.T) {
 		t.Errorf("memory diverges: threaded %d, reference %d", thrMem.SnapshotI("o")[0], want)
 	}
 	if thr.Cycles != ref.Cycles {
-		t.Errorf("cycles diverge after deopt: threaded %d, reference %d", thr.Cycles, ref.Cycles)
+		t.Errorf("cycles diverge after the hand-over: threaded %d, reference %d", thr.Cycles, ref.Cycles)
 	}
 	for i := range ref.PerCoreCycles {
 		if thr.PerCoreCycles[i] != ref.PerCoreCycles[i] {
@@ -288,10 +327,11 @@ func TestThreadedJrDeoptMatchesReference(t *testing.T) {
 	}
 }
 
-// TestThreadedDeqKindDeoptMatchesReference drives the dequeue kind guard:
-// the producer enqueues a float where the consumer's static solution says
-// int. The threaded consumer must complete the dequeue with reference
-// semantics and permanently fall back to the reference step.
+// TestThreadedDeqKindDeoptMatchesReference: the producer enqueues a float
+// onto an integer queue, which the consumer dequeues as an int. The
+// translation pass refuses the producer's class mismatch, so the threaded
+// engine runs the machine on the reference scheduler and keeps the
+// dynamically-kinded float the reference delivers.
 func TestThreadedDeqKindDeoptMatchesReference(t *testing.T) {
 	q := QID(1, 0, ir.I64, 2)
 	halt := isa.Instr{Op: isa.Halt, Dst: noReg, A: noReg, B: noReg}
@@ -307,7 +347,10 @@ func TestThreadedDeqKindDeoptMatchesReference(t *testing.T) {
 		halt,
 	)
 	if tp := compileThreaded(consumer, DefaultConfig(2).Cost); !tp.ok {
-		t.Fatalf("consumer must be eligible (the mismatch is a runtime event): %s", tp.reason)
+		t.Fatalf("consumer must be eligible: %s", tp.reason)
+	}
+	if tp := compileThreaded(producer, DefaultConfig(2).Cost); tp.ok || !strings.Contains(tp.reason, "class") {
+		t.Fatalf("producer must be refused for its queue class, got ok=%v reason %q", tp.ok, tp.reason)
 	}
 	cfg := cfg2()
 	ref, _ := runOn(t, []*isa.Program{consumer, producer}, mem.New, cfg, EngineReference)
