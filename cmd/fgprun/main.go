@@ -214,9 +214,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// errTraceDone is truncWriter's answer once its lines are out. obs.TextSink
+// stops at its first write error, so the rest of the run formats nothing.
+var errTraceDone = errors.New("fgprun: trace line limit reached")
+
 // truncWriter forwards whole lines until the limit is reached, then drops
-// the rest (the simulation still runs to completion). It counts newlines,
-// not Write calls, so it works under any writer chunking.
+// the rest (the simulation still runs to completion) and fails every write
+// with errTraceDone. It counts newlines, not Write calls, so it works under
+// any writer chunking.
 type truncWriter struct {
 	w     io.Writer
 	limit int
@@ -231,17 +236,16 @@ func (t *truncWriter) Write(p []byte) (int, error) {
 			// An unterminated tail: forward it, count it when its newline
 			// arrives in the next chunk... which never happens with the
 			// line-oriented trace writer, so just count it now.
-			t.lines++
-			if _, err := t.w.Write(p); err != nil {
-				return 0, err
-			}
-			return n, nil
+			i = len(p) - 1
 		}
 		t.lines++
 		if _, err := t.w.Write(p[:i+1]); err != nil {
 			return 0, err
 		}
 		p = p[i+1:]
+	}
+	if t.done() {
+		return n, errTraceDone
 	}
 	return n, nil
 }

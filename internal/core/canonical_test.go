@@ -136,6 +136,80 @@ func TestCanonicalOptionsClassifyEveryField(t *testing.T) {
 	}
 }
 
+// frontFields is the front-address ledger: whether each Options field
+// counts in FrontOptions (the front half reads it) or not. A field missing
+// here fails TestFrontOptionsClassifyEveryField.
+var frontFields = map[string]bool{
+	"Cores":         false,
+	"Weights":       false,
+	"Throughput":    false,
+	"MultiPair":     false,
+	"Speculate":     true,
+	"NormalizeOps":  true,
+	"Schedule":      false,
+	"UseProfile":    false,
+	"Profile":       false,
+	"Machine":       false,
+	"Partitioner":   false,
+	"SearchSeed":    false,
+	"SearchBudget":  false,
+	"SearchWorkers": false,
+}
+
+// TestFrontOptionsClassifyEveryField pins the front address: every field
+// of Options is in the ledger, and perturbing it moves the address exactly
+// when the ledger counts it. Over the tier-1 kernels, perturbing a counted
+// field changes some kernel's front, and perturbing any other field leaves
+// every front NewFront builds unchanged, so a front shared across options
+// with equal FrontOptions is the front each of them would build.
+func TestFrontOptionsClassifyEveryField(t *testing.T) {
+	var digest [32]byte
+	addr := func(o Options) string { return artcache.Address(digest, FrontOptions(o)) }
+	base := DefaultOptions(4)
+	mc := sim.DefaultConfig(4)
+	base.Machine = &mc
+	ks := kernels.All()
+	fronts := func(o Options) []*Front {
+		out := make([]*Front, len(ks))
+		for i, k := range ks {
+			f, err := NewFront(k.Build(), o)
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			out[i] = f
+		}
+		return out
+	}
+	want := fronts(base)
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		name := ot.Field(i).Name
+		counts, ok := frontFields[name]
+		if !ok {
+			t.Errorf("Options.%s is not classified: decide whether the front half reads it, "+
+				"make FrontOptions keep or drop it, and list it in frontFields", name)
+			continue
+		}
+		o := base
+		perturb(t, reflect.ValueOf(&o).Elem().Field(i))
+		if moved := addr(o) != addr(base); moved != counts {
+			t.Errorf("Options.%s: front address moved=%v, want %v", name, moved, counts)
+		}
+		changed := 0
+		for j, f := range fronts(o) {
+			if !reflect.DeepEqual(f, want[j]) {
+				changed++
+				if !counts {
+					t.Errorf("Options.%s changes the front of %s but does not count in its address", name, ks[j].Name)
+				}
+			}
+		}
+		if counts && changed == 0 {
+			t.Errorf("Options.%s counts in the front address but changes no tier-1 kernel's front", name)
+		}
+	}
+}
+
 // runFields is the run-key ledger: whether each sim.Config field counts in
 // a memoized result's address (CanonicalRun keeps it) or not (a run-time
 // choice that leaves the Result bit-identical). A field missing here fails

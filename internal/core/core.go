@@ -6,14 +6,24 @@
 // Pipeline (Sections III-A..III-H of the paper):
 //
 //	IR loop
-//	  └─ speculate (optional)    internal/speculate
-//	  └─ lower to TAC            internal/tac
-//	  └─ fiber partitioning      internal/fiber
-//	  └─ dependence analysis     internal/deps
-//	  └─ profile feedback        internal/profile (+ a sequential sim run)
-//	  └─ code-graph merging      internal/codegraph
-//	  └─ outlining + comm        internal/outline
-//	  └─ machine programs        internal/isa → internal/sim
+//	  └─ option and machine checks
+//	  ├─ front half (Front; reads only FrontOptions)
+//	  │   └─ tree splitting (optional)  internal/normalize
+//	  │   └─ speculate (optional)       internal/speculate
+//	  │   └─ lower to TAC               internal/tac
+//	  │   └─ fiber partitioning         internal/fiber
+//	  │   └─ dependence analysis        internal/deps
+//	  └─ back half (Front.Compile; Front.Profile stops after the profile)
+//	      └─ profile feedback           internal/profile (+ a sequential sim run)
+//	      └─ code-graph merging         internal/codegraph (+ internal/search)
+//	      └─ outlining + comm           internal/outline
+//	      └─ validation + verification  internal/isa, internal/verify
+//	      └─ machine programs           → internal/sim
+//
+// The front half depends on the loop and two options only, not on the core
+// count or the machine, so a caller that profiles a loop and compiles it
+// for several machines (the experiments Runner) builds one Front and runs
+// every back half on it. CompileContext and ComputeProfile build their own.
 package core
 
 import (
@@ -170,11 +180,16 @@ func Compile(l *ir.Loop, opt Options) (*Artifact, error) {
 	return CompileContext(context.Background(), l, opt)
 }
 
-// analysis is what the front half of the pipeline hands the back half:
-// the validated machine, the loop before and after the pre-lowering
-// transformations, and its TAC, fibers and dependences.
-type analysis struct {
-	mc     sim.Config
+// Front is the front half of the pipeline for one loop: the loop before
+// and after the pre-lowering transformations (tree splitting, speculation)
+// and its TAC, fibers and dependences. It depends on the loop and
+// FrontOptions only, never on the core count or the machine, so one Front
+// serves a loop's profiling run (Profile) and its compiles (Compile) at
+// every core count and on every machine. A Front is immutable once built
+// and safe for concurrent use; artifacts compiled from it share its loops,
+// TAC, fibers and dependences, which must not be modified.
+type Front struct {
+	opt    Options // FrontOptions of the options it was built with
 	src, l *ir.Loop
 	spec   speculate.Result
 	fn     *tac.Fn
@@ -182,32 +197,18 @@ type analysis struct {
 	info   *deps.Info
 }
 
-// analyze is the front half shared by CompileContext and ComputeProfile:
-// it rejects bad options and an unusable machine, then normalizes,
-// speculates, lowers, partitions into fibers and analyses dependences.
-func analyze(l *ir.Loop, opt Options) (*analysis, error) {
-	if opt.Cores < 1 {
-		return nil, fmt.Errorf("core: cores must be >= 1")
-	}
-	switch opt.Partitioner {
-	case "", PartitionerHeuristic, PartitionerSearch:
-	default:
-		return nil, fmt.Errorf("core: unknown partitioner %q (have %v)", opt.Partitioner, Partitioners())
-	}
-	mc := machineFor(opt)
-	// Reject an unusable machine before any pipeline work: degenerate sweep
-	// points (see internal/machspace) must fail with the structured
-	// *sim.ConfigError here, never surface as a mid-compile panic or a
-	// simulated deadlock.
-	if err := mc.Validate(); err != nil {
-		return nil, err
-	}
-	if mc.GroupSize > 0 && opt.Cores > mc.GroupSize {
-		return nil, fmt.Errorf("core: %d cores requested but queues connect groups of %d (Section II: the hardware provides all-to-all queues only within a group)",
-			opt.Cores, mc.GroupSize)
-	}
+// FrontOptions returns the part of opt the front half reads: Speculate and
+// NormalizeOps (0 when tree splitting is off), with every other field
+// zero. Options with equal FrontOptions share a Front.
+func FrontOptions(opt Options) Options {
+	return Options{Speculate: opt.Speculate, NormalizeOps: max(opt.NormalizeOps, 0)}
+}
 
-	a := &analysis{mc: mc, src: l}
+// NewFront runs the front half of the pipeline on l: tree splitting,
+// speculation, lowering to TAC, fiber partitioning and dependence
+// analysis, as opt's Speculate and NormalizeOps select.
+func NewFront(l *ir.Loop, opt Options) (*Front, error) {
+	f := &Front{opt: FrontOptions(opt), src: l}
 	if opt.NormalizeOps > 0 {
 		l, _ = normalize.Apply(l, opt.NormalizeOps)
 		if err := ir.Validate(l); err != nil {
@@ -215,24 +216,59 @@ func analyze(l *ir.Loop, opt Options) (*analysis, error) {
 		}
 	}
 	if opt.Speculate {
-		l, a.spec = speculate.Apply(l)
+		l, f.spec = speculate.Apply(l)
 		if err := ir.Validate(l); err != nil {
 			return nil, fmt.Errorf("core: speculation produced invalid IR: %w", err)
 		}
 	}
-	a.l = l
+	f.l = l
 
 	var err error
-	if a.fn, err = tac.Lower(l); err != nil {
+	if f.fn, err = tac.Lower(l); err != nil {
 		return nil, err
 	}
-	if a.set, err = fiber.Partition(a.fn); err != nil {
+	if f.set, err = fiber.Partition(f.fn); err != nil {
 		return nil, err
 	}
-	if a.info, err = deps.Analyze(a.fn, a.set); err != nil {
+	if f.info, err = deps.Analyze(f.fn, f.set); err != nil {
 		return nil, err
 	}
-	return a, nil
+	return f, nil
+}
+
+// accept runs check, then refuses options whose front half is not f.
+func (f *Front) accept(opt Options) (sim.Config, error) {
+	mc, err := check(opt)
+	if fo := FrontOptions(opt); err == nil && (fo.Speculate != f.opt.Speculate || fo.NormalizeOps != f.opt.NormalizeOps) {
+		err = fmt.Errorf("core: front built for speculate=%v normalize=%d cannot serve speculate=%v normalize=%d",
+			f.opt.Speculate, f.opt.NormalizeOps, fo.Speculate, fo.NormalizeOps)
+	}
+	return mc, err
+}
+
+// check rejects bad options and an unusable machine before any pipeline
+// work, and returns the machine a compile with opt targets.
+func check(opt Options) (sim.Config, error) {
+	if opt.Cores < 1 {
+		return sim.Config{}, fmt.Errorf("core: cores must be >= 1")
+	}
+	switch opt.Partitioner {
+	case "", PartitionerHeuristic, PartitionerSearch:
+	default:
+		return sim.Config{}, fmt.Errorf("core: unknown partitioner %q (have %v)", opt.Partitioner, Partitioners())
+	}
+	mc := machineFor(opt)
+	// Degenerate sweep points (see internal/machspace) must fail with the
+	// structured *sim.ConfigError here, never surface as a mid-compile
+	// panic or a simulated deadlock.
+	if err := mc.Validate(); err != nil {
+		return sim.Config{}, err
+	}
+	if mc.GroupSize > 0 && opt.Cores > mc.GroupSize {
+		return sim.Config{}, fmt.Errorf("core: %d cores requested but queues connect groups of %d (Section II: the hardware provides all-to-all queues only within a group)",
+			opt.Cores, mc.GroupSize)
+	}
+	return mc, nil
 }
 
 // machineFor resolves the machine a compile targets: Options.Machine, or
@@ -252,22 +288,44 @@ func machineFor(opt Options) sim.Config {
 // simulation (the only unbounded-cost stage of the pipeline) aborts within
 // one cancellation stride when ctx is cancelled, returning ctx.Err().
 func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, error) {
-	f, err := analyze(l, opt)
+	mc, err := check(opt)
 	if err != nil {
 		return nil, err
 	}
+	f, err := NewFront(l, opt)
+	if err != nil {
+		return nil, err
+	}
+	return f.compile(ctx, opt, mc)
+}
+
+// Compile runs the back half of the pipeline on f: it returns the artifact
+// CompileContext(ctx, l, opt) returns for the loop l that f was built from.
+// It refuses options whose FrontOptions differ from f's.
+func (f *Front) Compile(ctx context.Context, opt Options) (*Artifact, error) {
+	mc, err := f.accept(opt)
+	if err != nil {
+		return nil, err
+	}
+	return f.compile(ctx, opt, mc)
+}
+
+// compile is the back half: profile feedback, partitioning (the greedy
+// merge, refined by search when opt asks), outlining and verification, for
+// options check accepted with machine mc.
+func (f *Front) compile(ctx context.Context, opt Options, mc sim.Config) (*Artifact, error) {
 	if (opt.Weights == codegraph.Weights{}) {
 		opt.Weights = codegraph.DefaultWeights()
 	}
-	mc, src, l, fn, set, info := f.mc, f.src, f.l, f.fn, f.set, f.info
+	l, fn, set, info := f.l, f.fn, f.set, f.info
 
 	var prof profile.Profile
 	if opt.UseProfile {
 		if opt.Profile != nil {
 			prof = opt.Profile
 		} else {
-			prof, _, err = profileRun(ctx, fn, info, set, mc)
-			if err != nil {
+			var err error
+			if prof, _, err = f.profileRun(ctx, mc); err != nil {
 				return nil, fmt.Errorf("core: profiling run failed: %w", err)
 			}
 		}
@@ -298,7 +356,7 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 	}
 
 	a := &Artifact{
-		Loop: l, Source: src, Fn: fn, Fibers: set, Deps: info,
+		Loop: l, Source: f.src, Fn: fn, Fibers: set, Deps: info,
 		Parts: parts, Compiled: compiled, machine: mc,
 	}
 	a.Report = buildReport(l.Name, opt.Cores, set, info, parts, compiled, f.spec)
@@ -468,11 +526,10 @@ func crossCheckPartitions(ctx context.Context, l *ir.Loop, seed, best *codegraph
 	return nil
 }
 
-// ComputeProfile runs the front half of the pipeline (the same validation,
-// normalization, speculation, lowering, fiber partitioning and dependence
-// analysis CompileContext runs) and the sequential profiling simulation
-// under ctx. It returns the profile feedback Compile would measure for
-// these options and the simulated cycles of that run.
+// ComputeProfile runs the front half of the pipeline (NewFront, after the
+// option and machine checks CompileContext runs) and the sequential
+// profiling simulation under ctx. It returns the profile feedback Compile
+// would measure for these options and the simulated cycles of that run.
 //
 // The profiling run simulates the loop's one-core, single-partition
 // program, so its cycles are the loop's sequential baseline: they equal
@@ -483,27 +540,43 @@ func crossCheckPartitions(ctx context.Context, l *ir.Loop, seed, best *codegraph
 // callers compiling one loop variant at several core counts can measure
 // once and pass the profile to each compilation via Options.Profile —
 // bit-identical to letting every Compile run its own profiling simulation.
-// ProfileOptions gives the options that identify one measurement.
+// ProfileOptions gives the options that identify one measurement, and
+// Front.Profile measures on a front the compiles share.
 func ComputeProfile(ctx context.Context, l *ir.Loop, opt Options) (profile.Profile, int64, error) {
-	a, err := analyze(l, opt)
+	mc, err := check(opt)
 	if err != nil {
 		return nil, 0, err
 	}
-	return profileRun(ctx, a.fn, a.info, a.set, a.mc)
+	f, err := NewFront(l, opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return f.profileRun(ctx, mc)
 }
 
-// profileRun compiles the loop for one core and simulates it collecting
-// per-load latencies. It returns the profile and the run's cycles.
-func profileRun(ctx context.Context, fn *tac.Fn, info *deps.Info, set *fiber.Set, mc sim.Config) (profile.Profile, int64, error) {
-	parts := singlePartition(set)
-	compiled, err := outline.Generate(fn, info, parts, outline.Options{MachineCores: 1})
+// Profile is ComputeProfile on the loop f was built from. It refuses
+// options whose FrontOptions differ from f's.
+func (f *Front) Profile(ctx context.Context, opt Options) (profile.Profile, int64, error) {
+	mc, err := f.accept(opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return f.profileRun(ctx, mc)
+}
+
+// profileRun compiles the loop for one core and simulates it on mc
+// collecting per-load latencies. It returns the profile and the run's
+// cycles.
+func (f *Front) profileRun(ctx context.Context, mc sim.Config) (profile.Profile, int64, error) {
+	parts := singlePartition(f.set)
+	compiled, err := outline.Generate(f.fn, f.info, parts, outline.Options{MachineCores: 1})
 	if err != nil {
 		return nil, 0, err
 	}
 	cfg := mc
 	cfg.Cores = 1
 	cfg.CollectProfile = true
-	m, err := sim.New(compiled.Programs, outline.BuildMemory(fn.Loop), cfg)
+	m, err := sim.New(compiled.Programs, outline.BuildMemory(f.l), cfg)
 	if err != nil {
 		return nil, 0, err
 	}

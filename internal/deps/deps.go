@@ -2,6 +2,7 @@ package deps
 
 import (
 	"fmt"
+	"sync"
 
 	"fgp/internal/fiber"
 	"fgp/internal/tac"
@@ -49,7 +50,9 @@ type Edge struct {
 	MemDist  int64
 }
 
-// Info is the analysis result.
+// Info is the analysis result. It is read-only once Analyze returns: the
+// compiles of one loop share it concurrently, and FiberEdges memoizes an
+// aggregation of Edges.
 type Info struct {
 	Fn    *tac.Fn
 	Set   *fiber.Set
@@ -58,6 +61,9 @@ type Info struct {
 	// heuristic merging.
 	Colocate [][2]int32
 	Affine   map[tac.TempID]Affine
+
+	fiberOnce  sync.Once
+	fiberEdges []FiberEdge
 }
 
 // Analyze computes dependences for a fiber-partitioned function.
@@ -249,8 +255,15 @@ type FiberEdge struct {
 }
 
 // FiberEdges aggregates instruction edges to fiber granularity, dropping
-// intra-fiber edges and deduplicating by (from, to, kind, temp).
+// intra-fiber edges and deduplicating by (from, to, kind, temp). The first
+// call aggregates; every call returns that one slice, which callers share
+// and must not modify.
 func (info *Info) FiberEdges() []FiberEdge {
+	info.fiberOnce.Do(func() { info.fiberEdges = info.aggregateFiberEdges() })
+	return info.fiberEdges
+}
+
+func (info *Info) aggregateFiberEdges() []FiberEdge {
 	type key struct {
 		from, to int32
 		kind     EdgeKind

@@ -61,3 +61,7 @@ func (info *Info) regDepsRescan() {
 		}
 	}
 }
+
+// FreshFiberEdges aggregates info's fiber edges anew, bypassing the memo
+// FiberEdges returns.
+func (info *Info) FreshFiberEdges() []FiberEdge { return info.aggregateFiberEdges() }

@@ -116,3 +116,26 @@ func TestRegDepsMatchesRescan(t *testing.T) {
 		}
 	}
 }
+
+// TestFiberEdgesAggregateOnce: FiberEdges aggregates once, so two calls
+// return one slice, and that aggregation equals a fresh one over the
+// corpus.
+func TestFiberEdgesAggregateOnce(t *testing.T) {
+	for _, v := range corpus(t) {
+		set, err := fiber.Partition(v.fn)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		info, err := deps.Analyze(v.fn, set)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		first, second := info.FiberEdges(), info.FiberEdges()
+		if len(first) != len(second) || len(first) > 0 && &first[0] != &second[0] {
+			t.Errorf("%s: two FiberEdges calls aggregated twice", v.name)
+		}
+		if fresh := info.FreshFiberEdges(); !reflect.DeepEqual(first, fresh) {
+			t.Errorf("%s: memoized fiber edges differ from a fresh aggregation:\n got  %v\n want %v", v.name, first, fresh)
+		}
+	}
+}

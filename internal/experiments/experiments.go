@@ -16,7 +16,10 @@
 // a name never share an entry. Simulation results are memoized the same
 // way, by the artifact's address plus the canonical run configuration
 // (core.CanonicalRun), so the many experiments that rerun Fig 12's 4-core
-// machine simulate it once.
+// machine simulate it once. Below those fills, a loop's front half
+// (core.Front) is addressed by core.FrontOptions and the digest, so a
+// loop's profiling run and its compiles at every core count and machine
+// lower and analyse it once.
 package experiments
 
 import (
@@ -38,20 +41,35 @@ import (
 // regenerating the full evaluation stays fast. It is safe for concurrent
 // use: each entry is filled exactly once, with concurrent requesters
 // blocking on the first fill instead of duplicating it.
+//
+// It keeps four caches. Artifacts and baselines share one, the only one
+// with a disk tier; profiles, fronts and results each have their own, in
+// memory only, so their fills stay out of the shared cache's counters.
+// Every profile and compile fill takes its loop's front from the fronts
+// cache, so an fgpd miss (a baseline, its profile and one compile) or a
+// frontier sweep (one profile and a compile per machine) lowers and
+// analyses its loop once.
 type Runner struct {
 	workers int
 	engine  string // sim engine for every simulation; "" = the threaded default
 
 	cache *artcache.Cache // artifacts and sequential baselines
 	// profiles holds profiling runs, whose feedback feeds artifact fills
-	// and whose cycles fill sequential baselines. No caller requests one
-	// itself, so they stay out of the shared cache's counters and disk
-	// tier.
+	// and whose cycles fill sequential baselines.
 	profiles *artcache.Cache
-	// results memoizes simulation results, in memory only, with its own
-	// counters and at most maxResults entries (see Simulate).
+	// fronts holds loops' front halves, at most maxFronts of them.
+	fronts *artcache.Cache
+	// results memoizes simulation results, at most maxResults of them (see
+	// Simulate).
 	results *artcache.Cache
 }
+
+// maxFronts bounds the front cache. A front is large, about 120 KB for a
+// generated loop and 140 KB for a tier-1 kernel, so the cache stays near
+// 2.2 MB, and it is needed only while its loop's profile and compile
+// fills run: milliseconds for a miss or a sweep. A front evicted early
+// (the bound holds per shard) costs one rebuild, never a wrong result.
+const maxFronts = 16
 
 // maxResults bounds the simulation-result memo. A full fgpexp evaluation
 // holds 500 distinct results, and a result at fgpd's 16-core limit takes
@@ -72,7 +90,8 @@ var (
 		Encode: func(v any) ([]byte, error) { return strconv.AppendInt(nil, v.(int64), 10), nil },
 		Decode: func(data []byte) (any, error) { return strconv.ParseInt(string(data), 10, 64) },
 	}
-	profKind = &artcache.Kind{Name: "prof"}
+	profKind  = &artcache.Kind{Name: "prof"}
+	frontKind = &artcache.Kind{Name: "front"}
 	// A simulation fill runs under its requester's context, so a client
 	// that leaves aborts it; see internal/artcache.
 	runKind = &artcache.Kind{Name: "run", Attached: true}
@@ -90,6 +109,7 @@ func NewTieredRunner(d artcache.Disk, budget time.Duration) *Runner {
 	return &Runner{
 		cache:    artcache.New(d, budget),
 		profiles: artcache.New(nil, budget),
+		fronts:   artcache.NewBounded(maxFronts, budget),
 		results:  artcache.NewBounded(maxResults, budget),
 	}
 }
@@ -190,11 +210,12 @@ func (r *Runner) ArtifactContext(ctx context.Context, k *kernels.Kernel, opt cor
 	return v.(*core.Artifact), addr, hit, nil
 }
 
-// compile runs one artifact fill. A reference runner profiles inside the
-// compile on the reference engine, so it simulates nothing on the threaded
-// engine (the honest baseline for host-speed comparisons, matching the one
-// profiling run per compilation of the original implementation); any other
-// runner shares one cached profile across the core counts of a variant.
+// compile runs one artifact fill on the loop's cached front. A reference
+// runner profiles inside the compile on the reference engine, so it
+// simulates nothing on the threaded engine (the honest baseline for
+// host-speed comparisons, matching the one profiling run per compilation
+// of the original implementation); any other runner shares one cached
+// profile across the core counts of a variant.
 func (r *Runner) compile(ctx context.Context, k *kernels.Kernel, opt core.Options) (*core.Artifact, error) {
 	if r.engine == sim.EngineReference {
 		mc := *opt.Machine
@@ -207,8 +228,28 @@ func (r *Runner) compile(ctx context.Context, k *kernels.Kernel, opt core.Option
 		}
 		opt.Profile = p.prof
 	}
-	return core.CompileContext(ctx, k.Build(), opt)
+	f, err := r.front(ctx, k, opt)
+	if err != nil {
+		return nil, err
+	}
+	return f.Compile(ctx, opt)
 }
+
+// front resolves (or returns the cached) front half of k under opt; see
+// core.FrontOptions.
+func (r *Runner) front(ctx context.Context, k *kernels.Kernel, opt core.Options) (*core.Front, error) {
+	fopt := core.FrontOptions(opt)
+	v, _, err := r.fronts.Do(ctx, frontKind, artcache.Address(k.Digest(), fopt), func(context.Context) (any, error) {
+		return core.NewFront(k.Build(), fopt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*core.Front), nil
+}
+
+// FrontStats returns the front cache's counters.
+func (r *Runner) FrontStats() artcache.Stats { return r.fronts.Stats() }
 
 // profiled is a profile entry: the feedback of one profiling run and that
 // run's simulated cycles, which are the loop's sequential baseline on the
@@ -234,7 +275,11 @@ func (r *Runner) profile(ctx context.Context, k *kernels.Kernel, opt core.Option
 		mc := *popt.Machine
 		mc.Engine = r.engine
 		popt.Machine = &mc
-		p, cycles, err := core.ComputeProfile(ctx, k.Build(), popt)
+		f, err := r.front(ctx, k, popt)
+		if err != nil {
+			return nil, err
+		}
+		p, cycles, err := f.Profile(ctx, popt)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -227,5 +228,25 @@ func TestResultMemoIsBounded(t *testing.T) {
 	}
 	if s := r.results.Stats(); s.Entries > maxResults || s.Evicted < extra || s.Entries+s.Evicted != maxResults+extra {
 		t.Errorf("result memo %+v, want at most %d entries and the rest evicted", s, maxResults)
+	}
+}
+
+// TestFrontCacheIsBounded: each loop's profile and compile share one
+// front, and a stream of distinct loops leaves at most maxFronts of them.
+func TestFrontCacheIsBounded(t *testing.T) {
+	r := NewRunner()
+	const loops = 100
+	for i := range loops {
+		k := loopKernel(fmt.Sprintf("loop%d", i), int64(8+i))
+		if _, _, _, err := r.ArtifactContext(context.Background(), k, core.DefaultOptions(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := r.FrontStats()
+	if s.Misses != loops || s.Hits != loops {
+		t.Errorf("front cache %+v, want %d misses (one per loop) and %d hits (its compile)", s, loops, loops)
+	}
+	if s.Entries > maxFronts || s.Entries+s.Evicted != loops {
+		t.Errorf("front cache %+v, want at most %d entries and the rest evicted", s, maxFronts)
 	}
 }

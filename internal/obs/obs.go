@@ -16,7 +16,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"fgp/internal/isa"
 )
@@ -193,65 +194,13 @@ func (r *Recorder) Emit(e Event) { r.Events = append(r.Events, e) }
 // Close implements Sink.
 func (r *Recorder) Close() error { return nil }
 
-// tee fans one stream out to several sinks.
-type tee struct{ sinks []Sink }
-
-// Tee returns a sink that forwards to every given sink; its mask is the
-// union, and each sink only receives the kinds it asked for.
-func Tee(sinks ...Sink) Sink { return &tee{sinks} }
-
-func (t *tee) Mask() Mask {
-	var m Mask
-	for _, s := range t.sinks {
-		m |= s.Mask()
-	}
-	return m
-}
-
-func (t *tee) Begin(m Meta) {
-	for _, s := range t.sinks {
-		s.Begin(m)
-	}
-}
-
-var kindMask = [...]Mask{
-	KRetire: MRetire, KEnq: MQueue, KDeq: MQueue,
-	KStallBegin: MStall, KStallEnd: MStall,
-	KRegionEnter: MRegion, KRegionExit: MRegion,
-}
-
-// KindMask returns the mask bit covering one event kind.
-func KindMask(k Kind) Mask { return kindMask[k] }
-
-func (t *tee) Emit(e Event) {
-	bit := KindMask(e.Kind)
-	for _, s := range t.sinks {
-		if s.Mask()&bit != 0 {
-			s.Emit(e)
-		}
-	}
-}
-
-func (t *tee) Close() error {
-	var first error
-	for _, s := range t.sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Canonicalize stable-sorts events into the canonical delivery order:
 // by Time, then core id, preserving per-core emission order among ties.
 // The simulator calls it on the concatenated per-core buffers; consumers
 // that re-derive ordering from raw recordings can reuse it.
 func Canonicalize(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Time != events[j].Time {
-			return events[i].Time < events[j].Time
-		}
-		return events[i].Core < events[j].Core
+	slices.SortStableFunc(events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Core, b.Core))
 	})
 }
 

@@ -208,30 +208,3 @@ func TestTextSinkReportsWriteError(t *testing.T) {
 		t.Fatal("text sink swallowed the write error")
 	}
 }
-
-func TestTeeFiltersByMask(t *testing.T) {
-	var buf bytes.Buffer
-	text := NewText(&buf)
-	rec := NewRecorder()
-	s := Tee(text, rec)
-	if s.Mask() != MAll {
-		t.Fatalf("tee mask = %v, want MAll", s.Mask())
-	}
-	meta, events := synthetic()
-	s.Begin(meta)
-	for _, e := range events {
-		s.Emit(e)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events) != len(events) {
-		t.Errorf("recorder kept %d of %d events", len(rec.Events), len(events))
-	}
-	if rec.Meta.Cores != 2 {
-		t.Errorf("recorder meta not delivered: %+v", rec.Meta)
-	}
-	if buf.Len() == 0 {
-		t.Error("text sink received nothing through the tee")
-	}
-}

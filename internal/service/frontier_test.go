@@ -278,6 +278,34 @@ func TestSweptPointCompilesNothing(t *testing.T) {
 	}
 }
 
+// TestMissAndSweepAnalyseOnce: on a fresh server a /v1/run miss (its
+// baseline, profile and compile) and a /v1/frontier sweep over a 12-point
+// grid (one profile, a compile per core count and queue length) each fill
+// exactly one front, which every other fill of the loop reuses.
+func TestMissAndSweepAnalyseOnce(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "source", "stencil.fgp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{})
+	if code, _, errMsg := postRun(t, ts, RunRequest{Source: string(src), Cores: 4}); code != 200 {
+		t.Fatalf("miss: %d %s", code, errMsg)
+	}
+	if st := s.run.FrontStats(); st.Fills != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("a /v1/run miss: front cache %+v, want 1 fill, 1 miss, and 1 hit for the compile", st)
+	}
+
+	s, ts = newTestServer(t, Config{})
+	body, _ := json.Marshal(FrontierRequest{Source: string(src),
+		Grid: &machspace.Grid{Cores: []int{2, 4}, QueueLen: []int{4, 20}, TransferLatency: []int64{1, 5, 20}}})
+	if code, fr, data := postFrontier(t, ts, string(body)); code != 200 || fr.Points != 12 {
+		t.Fatalf("sweep: %d %s", code, data)
+	}
+	if st := s.run.FrontStats(); st.Fills != 1 || st.Misses != 1 || st.Hits != 4 {
+		t.Errorf("a 12-point sweep: front cache %+v, want 1 fill, 1 miss, and 4 hits for the compiles", st)
+	}
+}
+
 // TestAttributionAfterRunCompilesNothing: /v1/attribution resolves through
 // the server's one runner, so it reuses what /v1/run compiled.
 func TestAttributionAfterRunCompilesNothing(t *testing.T) {
