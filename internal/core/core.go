@@ -30,6 +30,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"fgp/internal/codegraph"
 	"fgp/internal/deps"
@@ -97,8 +99,10 @@ type Options struct {
 	// SearchBudget bounds the number of candidate partitions the search
 	// may score (0 = search.DefaultBudget).
 	SearchBudget int
-	// SearchWorkers bounds concurrent candidate scoring (0/1 = serial). It
-	// affects compile time only, never the chosen partition.
+	// SearchWorkers bounds concurrent candidate scoring (0 = one per CPU,
+	// 1 = serial). It affects compile time only, never the chosen
+	// partition. Callers that already run compiles from a pool of their
+	// own (the experiments Runner, fgpfuzz) pass 1.
 	SearchWorkers int
 }
 
@@ -343,16 +347,17 @@ func (f *Front) compile(ctx context.Context, opt Options, mc sim.Config) (*Artif
 		return nil, err
 	}
 	var stats searchStats
+	var compiled *outline.Compiled
 	if opt.Partitioner == PartitionerSearch && opt.Cores > 1 && len(parts.Parts) > 1 {
-		parts, stats, err = searchPartition(ctx, l, fn, info, parts, instrCost, mc, opt)
+		parts, compiled, stats, err = searchPartition(ctx, l, fn, info, parts, instrCost, mc, opt)
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	compiled, err := codegen(fn, info, parts, instrCost, mc, opt.Schedule)
-	if err != nil {
-		return nil, err
+	if compiled == nil {
+		if compiled, err = codegen(fn, info, parts, instrCost, mc, opt.Schedule); err != nil {
+			return nil, err
+		}
 	}
 
 	a := &Artifact{
@@ -403,35 +408,58 @@ type searchStats struct {
 	cycles   int64
 }
 
+// scoringRun is one candidate's build and scoring run: its programs and the
+// final memory image and result of simulating them.
+type scoringRun struct {
+	part     *codegraph.Result
+	compiled *outline.Compiled
+	image    *mem.Memory
+	res      *sim.Result
+}
+
 // searchPartition refines the heuristic seed partition with internal/search.
 // The objective compiles every candidate through the normal pipeline tail —
 // outlining, program validation, and internal/verify's translation
 // validation — so illegal partitions are rejected before they are ever
 // scored, then simulates the survivor on the compile-time machine (the
 // threaded engine unless it names another) and returns its cycle count.
-// When the winner differs from the seed, its final memory image and
-// live-outs are cross-checked bit-identical against the seed's before it
-// is accepted. If the seed itself cannot be scored (the kernel
-// traps on its inputs), the heuristic partition is kept unchanged.
-func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Info, seed *codegraph.Result, instrCost func(*tac.Instr) int64, mc sim.Config, opt Options) (*codegraph.Result, searchStats, error) {
-	build := func(cand *codegraph.Result) (*outline.Compiled, error) {
-		return codegen(fn, info, cand, instrCost, mc, opt.Schedule)
-	}
-	simulate := func(ctx context.Context, compiled *outline.Compiled, image *mem.Memory) (*sim.Result, error) {
+// Candidates are scored opt.SearchWorkers at a time (one per CPU when 0).
+//
+// Each partition is built once. The objective keeps two scoring runs: the
+// seed's (search.Refine scores it first and alone) and the incumbent's,
+// ordered by fewest cycles and then smallest canonical key as Refine
+// folds its candidates, so the incumbent is the winner for any worker
+// count. When the winner beats the seed, its final memory image and
+// live-outs are cross-checked bit-identical against the seed's run before
+// it is accepted, and the artifact takes its programs. If the seed itself
+// cannot be scored (the kernel traps on its inputs), the heuristic
+// partition is kept unchanged and returned without programs.
+func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Info, seed *codegraph.Result, instrCost func(*tac.Instr) int64, mc sim.Config, opt Options) (*codegraph.Result, *outline.Compiled, searchStats, error) {
+	var mu sync.Mutex
+	var seedRun, best *scoringRun
+	obj := func(ctx context.Context, cand *codegraph.Result) (int64, error) {
+		compiled, err := codegen(fn, info, cand, instrCost, mc, opt.Schedule)
+		if err != nil {
+			return 0, err
+		}
+		image := outline.BuildMemory(l)
 		m, err := sim.New(compiled.Programs, image, mc)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		return m.RunContext(ctx)
-	}
-	obj := func(ctx context.Context, cand *codegraph.Result) (int64, error) {
-		compiled, err := build(cand)
+		res, err := m.RunContext(ctx)
 		if err != nil {
 			return 0, err
 		}
-		res, err := simulate(ctx, compiled, outline.BuildMemory(l))
-		if err != nil {
-			return 0, err
+		run := &scoringRun{part: cand, compiled: compiled, image: image, res: res}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case seedRun == nil:
+			seedRun, best = run, run
+		case res.Cycles < best.res.Cycles,
+			res.Cycles == best.res.Cycles && cand.CanonicalKey() < best.part.CanonicalKey():
+			best = run
 		}
 		return res.Cycles, nil
 	}
@@ -444,68 +472,57 @@ func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Inf
 		}
 	}
 
+	workers := opt.SearchWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	sr, err := search.Refine(ctx, info, seed, fiberCost, obj, search.Options{
 		Seed:    opt.SearchSeed,
 		Budget:  opt.SearchBudget,
-		Workers: opt.SearchWorkers,
+		Workers: workers,
 	})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, searchStats{}, ctxErr
+			return nil, nil, searchStats{}, ctxErr
 		}
 		if sr != nil {
 			// The heuristic seed itself cannot be simulated (the kernel
 			// traps on its committed inputs): keep the heuristic partition
 			// and report no search gain.
-			return seed, searchStats{explored: sr.Explored}, nil
+			return seed, nil, searchStats{explored: sr.Explored}, nil
 		}
-		return nil, searchStats{}, fmt.Errorf("core: partition search failed: %w", err)
+		return nil, nil, searchStats{}, fmt.Errorf("core: partition search failed: %w", err)
 	}
-
+	if best == nil || best.part != sr.Best {
+		return nil, nil, searchStats{}, fmt.Errorf("core: partition search chose a partition its objective did not keep")
+	}
 	if sr.Improved {
-		if err := crossCheckPartitions(ctx, l, seed, sr.Best, build, simulate); err != nil {
-			return nil, searchStats{}, fmt.Errorf("core: searched partition diverges from heuristic baseline: %w", err)
+		if err := sameOutcome(l, seedRun, best); err != nil {
+			return nil, nil, searchStats{}, fmt.Errorf("core: searched partition diverges from heuristic baseline: %w", err)
 		}
 	}
 	// The searched Result describes a placement, not a merge trace; keep the
 	// heuristic's step count so Table III statistics stay meaningful.
 	sr.Best.MergeSteps = seed.MergeSteps
-	return sr.Best, searchStats{explored: sr.Explored, baseline: sr.SeedCycles, cycles: sr.BestCycles}, nil
+	return sr.Best, best.compiled, searchStats{explored: sr.Explored, baseline: sr.SeedCycles, cycles: sr.BestCycles}, nil
 }
 
-// crossCheckPartitions simulates the heuristic and searched partitions on
-// fresh memory images and requires bit-identical final memory and live-out
-// values. The compiler's correctness story does not rest on this check —
+// sameOutcome requires the searched partition's scoring run to leave final
+// memory and live-out values bit-identical to the heuristic seed's. The
+// compiler's correctness story does not rest on this check —
 // internal/verify already validated the searched program — but the search
 // promises it anyway: an accepted speedup must be the same computation.
-func crossCheckPartitions(ctx context.Context, l *ir.Loop, seed, best *codegraph.Result, build func(*codegraph.Result) (*outline.Compiled, error), simulate func(context.Context, *outline.Compiled, *mem.Memory) (*sim.Result, error)) error {
-	runSide := func(cand *codegraph.Result) (*mem.Memory, *sim.Result, error) {
-		compiled, err := build(cand)
-		if err != nil {
-			return nil, nil, err
-		}
-		image := outline.BuildMemory(l)
-		res, err := simulate(ctx, compiled, image)
-		return image, res, err
-	}
-	seedMem, seedRes, err := runSide(seed)
-	if err != nil {
-		return fmt.Errorf("baseline run: %w", err)
-	}
-	bestMem, bestRes, err := runSide(best)
-	if err != nil {
-		return fmt.Errorf("searched run: %w", err)
-	}
+func sameOutcome(l *ir.Loop, seed, best *scoringRun) error {
 	for _, arr := range l.Arrays {
 		if arr.K == ir.F64 {
-			a, b := seedMem.SnapshotF(arr.Name), bestMem.SnapshotF(arr.Name)
+			a, b := seed.image.SnapshotF(arr.Name), best.image.SnapshotF(arr.Name)
 			for i := range a {
 				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 					return fmt.Errorf("%s[%d] = %v (heuristic) vs %v (search)", arr.Name, i, a[i], b[i])
 				}
 			}
 		} else {
-			a, b := seedMem.SnapshotI(arr.Name), bestMem.SnapshotI(arr.Name)
+			a, b := seed.image.SnapshotI(arr.Name), best.image.SnapshotI(arr.Name)
 			for i := range a {
 				if a[i] != b[i] {
 					return fmt.Errorf("%s[%d] = %v (heuristic) vs %v (search)", arr.Name, i, a[i], b[i])
@@ -514,8 +531,8 @@ func crossCheckPartitions(ctx context.Context, l *ir.Loop, seed, best *codegraph
 		}
 	}
 	for _, name := range l.LiveOut {
-		a, aok := seedRes.LiveOut[name]
-		b, bok := bestRes.LiveOut[name]
+		a, aok := seed.res.LiveOut[name]
+		b, bok := best.res.LiveOut[name]
 		if aok != bok {
 			return fmt.Errorf("live-out %q present=%v (heuristic) vs present=%v (search)", name, aok, bok)
 		}

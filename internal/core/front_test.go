@@ -10,15 +10,14 @@ import (
 )
 
 // TestFrontCompilesConcurrently: one loop's Front serves its profiling run
-// and heuristic compiles at 2 and 4 cores and a searched compile with two
-// search workers, all running at once, and every artifact is bit-identical
-// to what Compile builds on a front of its own. Run under -race it is the
-// check that the back half only reads the front.
+// and heuristic compiles at 2 and 4 cores and a searched compile at the
+// default search workers (one per CPU), all running at once, and every
+// artifact is bit-identical to what Compile builds on a front of its own.
+// Run under -race it is the check that the back half only reads the front.
 func TestFrontCompilesConcurrently(t *testing.T) {
 	searched := DefaultOptions(4)
 	searched.Partitioner = PartitionerSearch
 	searched.SearchBudget = 8
-	searched.SearchWorkers = 2
 	opts := []Options{DefaultOptions(2), DefaultOptions(4), searched}
 
 	for _, name := range []string{"lammps-1", "irs-1", "umt2k-1", "sphot-1"} {

@@ -215,8 +215,11 @@ func (r *Runner) ArtifactContext(ctx context.Context, k *kernels.Kernel, opt cor
 // simulates nothing on the threaded engine (the honest baseline for
 // host-speed comparisons, matching the one profiling run per compilation
 // of the original implementation); any other runner shares one cached
-// profile across the core counts of a variant.
+// profile across the core counts of a variant. Fills run from the
+// runner's pool or an fgpd request's slot, so a searched fill scores its
+// candidates serially.
 func (r *Runner) compile(ctx context.Context, k *kernels.Kernel, opt core.Options) (*core.Artifact, error) {
+	opt.SearchWorkers = 1
 	if r.engine == sim.EngineReference {
 		mc := *opt.Machine
 		mc.Engine = sim.EngineReference

@@ -92,6 +92,7 @@ func Search(r *Runner, cfg SearchConfig) ([]SearchRow, error) {
 		opt.Partitioner = core.PartitionerSearch
 		opt.SearchBudget = cfg.Budget
 		opt.SearchSeed = cfg.Seed
+		opt.SearchWorkers = 1 // the items already run from the runner's pool
 		a, err := core.Compile(l, opt)
 		if err != nil {
 			return fmt.Errorf("experiments: search %s (%d cores): %w", it.name, it.cores, err)

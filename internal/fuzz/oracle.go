@@ -286,6 +286,7 @@ func checkSearch(l *ir.Loop, compiled *ir.Loop, ref *interp.Result, rerr error, 
 	opt.Partitioner = core.PartitionerSearch
 	opt.SearchBudget = oc.SearchBudget
 	opt.SearchSeed = oc.SearchSeed
+	opt.SearchWorkers = 1 // fgpfuzz runs the oracle from a pool of its own
 	art, cerr := core.Compile(compiled, opt)
 	if cerr != nil {
 		stage := "compile"

@@ -141,12 +141,12 @@ func (g *generator) planTokens() {
 			consumers := []int{immediate[0].consumer}
 			var next []tokenReq
 			for _, r := range immediate[1:] {
-				cp := append(append([]int{}, producers...), r.producer)
-				cc := append(append([]int{}, consumers...), r.consumer)
-				if g.tokenAnchorsFeasible(cp, cc) {
-					producers, consumers = cp, cc
+				// Probe with r appended; drop it again if it does not fit.
+				producers, consumers = append(producers, r.producer), append(consumers, r.consumer)
+				if g.tokenAnchorsFeasible(producers, consumers) {
 					continue
 				}
+				producers, consumers = producers[:len(producers)-1], consumers[:len(consumers)-1]
 				next = append(next, r)
 			}
 			g.emitToken(pk[0], pk[1], 0, producers, consumers)

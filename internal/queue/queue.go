@@ -29,10 +29,9 @@ type Queue struct {
 	Class    ir.Kind
 	Cap      int
 
-	buf  []Entry // ring buffer of Cap entries
+	buf  []Entry // ring buffer of Cap entries, allocated by the first Push
 	head int     // index of the oldest entry
 	n    int     // current occupancy
-	used bool
 
 	// Transfer counts, for the evaluation's "queues actually used" metric
 	// and general stats. Transfers counts pushes and Pops counts pops, so
@@ -43,13 +42,14 @@ type Queue struct {
 	Pops      int64
 }
 
-// New creates an empty queue with the given capacity.
+// New creates an empty queue with the given capacity. Its ring is
+// allocated by the first Push: a machine has a queue for every ordered
+// core pair and class, and a program uses few of them.
 func New(id int32, src, dst int, class ir.Kind, capacity int) *Queue {
 	if capacity < 1 {
 		panic(fmt.Sprintf("queue: capacity must be >= 1, got %d", capacity))
 	}
-	return &Queue{ID: id, Src: src, Dst: dst, Class: class, Cap: capacity,
-		buf: make([]Entry, capacity)}
+	return &Queue{ID: id, Src: src, Dst: dst, Class: class, Cap: capacity}
 }
 
 // Full reports whether an enqueue would block.
@@ -62,7 +62,7 @@ func (q *Queue) Empty() bool { return q.n == 0 }
 func (q *Queue) Len() int { return q.n }
 
 // Used reports whether the queue ever carried a value.
-func (q *Queue) Used() bool { return q.used }
+func (q *Queue) Used() bool { return q.buf != nil }
 
 // Push appends a value that becomes visible at availAt. The caller must
 // have checked Full.
@@ -70,13 +70,15 @@ func (q *Queue) Push(v interp.Value, availAt int64, edge int32) {
 	if q.Full() {
 		panic("queue: push on full queue")
 	}
+	if q.buf == nil {
+		q.buf = make([]Entry, q.Cap)
+	}
 	tail := q.head + q.n
 	if tail >= q.Cap {
 		tail -= q.Cap
 	}
 	q.buf[tail] = Entry{V: v, AvailAt: availAt, Edge: edge, Seq: q.Transfers}
 	q.n++
-	q.used = true
 	q.Transfers++
 }
 
@@ -122,8 +124,8 @@ func (q *Queue) CheckStats() error {
 		return fmt.Errorf("queue: %v stats drifted: %d pushes - %d pops = %d but occupancy is %d",
 			q, q.Transfers, q.Pops, got, q.n)
 	}
-	if q.used != (q.Transfers > 0) {
-		return fmt.Errorf("queue: %v used=%v disagrees with %d transfers", q, q.used, q.Transfers)
+	if q.Used() != (q.Transfers > 0) {
+		return fmt.Errorf("queue: %v used=%v disagrees with %d transfers", q, q.Used(), q.Transfers)
 	}
 	return nil
 }

@@ -155,8 +155,21 @@ func TestCheckStatsDetectsDrift(t *testing.T) {
 		t.Error("transfer/occupancy drift not detected")
 	}
 	q = mk()
-	q.used = false // transfers happened but used says otherwise
+	q.buf = nil // transfers happened but the queue holds no ring
 	if q.CheckStats() == nil {
 		t.Error("used/transfers disagreement not detected")
+	}
+}
+
+// TestRingAllocatedOnFirstPush: a machine builds a queue for every core
+// pair and class, so a queue holds no ring until a value is pushed.
+func TestRingAllocatedOnFirstPush(t *testing.T) {
+	q := New(0, 0, 1, ir.F64, 20)
+	if q.buf != nil || !q.Empty() || q.Full() {
+		t.Fatalf("new queue: ring of %d, empty %v, full %v", len(q.buf), q.Empty(), q.Full())
+	}
+	q.Push(interp.VF(1.5), 3, 0)
+	if len(q.buf) != 20 || q.Len() != 1 || q.Head().V.F != 1.5 {
+		t.Fatalf("after one push: ring of %d, len %d, head %+v", len(q.buf), q.Len(), q.Head())
 	}
 }

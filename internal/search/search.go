@@ -54,6 +54,8 @@ import (
 // count. An error marks the candidate infeasible (verifier rejection, trap,
 // resource bound); the explorer discards it without updating the incumbent.
 // Objectives must be safe for concurrent calls when Options.Workers > 1.
+// Refine's first call scores the seed partition and returns before any
+// other call starts.
 type Objective func(ctx context.Context, cand *codegraph.Result) (int64, error)
 
 // Options bounds and seeds one Refine run.

@@ -12,6 +12,7 @@ package search_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"fgp/internal/codegraph"
@@ -368,5 +369,48 @@ func TestSeedFallbackNeverWorse(t *testing.T) {
 	}
 	if r.BestCycles != r.SeedCycles {
 		t.Fatalf("budget-1 cycles diverge: %d vs %d", r.BestCycles, r.SeedCycles)
+	}
+}
+
+// TestSeedScoredFirstAndAlone: at any worker count, Refine's first
+// objective call scores the seed partition and returns before any other
+// call starts. The compiler relies on it to keep that call's build as the
+// seed's.
+func TestSeedScoredFirstAndAlone(t *testing.T) {
+	k, err := kernels.ByName("umt2k-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := lowerKernel(t, k.Build(), 4)
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		calls, seedDone, overlapped := 0, false, false
+		firstKey := ""
+		obj := p.objective()
+		watched := func(ctx context.Context, cand *codegraph.Result) (int64, error) {
+			mu.Lock()
+			calls++
+			first := calls == 1
+			if first {
+				firstKey = cand.CanonicalKey()
+			} else if !seedDone {
+				overlapped = true
+			}
+			mu.Unlock()
+			cycles, err := obj(ctx, cand)
+			if first {
+				mu.Lock()
+				seedDone = true
+				mu.Unlock()
+			}
+			return cycles, err
+		}
+		if _, err := search.Refine(context.Background(), p.info, p.seed, p.fiberCost, watched, search.Options{Seed: 5, Budget: 24, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if firstKey != p.seed.CanonicalKey() || overlapped || calls < 2 {
+			t.Errorf("workers=%d: first call scored %q (seed %q), another call started before it returned: %v, %d calls",
+				workers, firstKey, p.seed.CanonicalKey(), overlapped, calls)
+		}
 	}
 }

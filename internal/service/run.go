@@ -351,7 +351,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		SimMs:             simMs,
 	}
 	if rec != nil {
-		obs.Canonicalize(rec.Events)
+		// The simulator delivers rec's events in canonical order.
 		if req.Attribution {
 			resp.Attribution = obs.BuildReport(rec.Meta, rec.Events).Format()
 		}

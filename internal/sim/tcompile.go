@@ -501,9 +501,13 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 		tp.kinds[r] = ks.kindOf(isa.Reg(r))
 	}
 
+	// Every block's ops and aux are slices of one arena per program, sized
+	// to its instruction count.
+	ops, aux := make([]top, 0, n), make([]taux, 0, n)
 	for pc := 0; pc < n; {
 		bi := int32(len(tp.blocks))
 		b := tblock{termPC: -1, a: -1}
+		first := len(ops)
 		var acc int64 // folded charge since the last sync point
 	body:
 		for {
@@ -524,7 +528,7 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 				case isa.Halt:
 					b.term = ttHalt
 				}
-				tp.pcmap[pc] = tref{bi, int32(len(b.ops))}
+				tp.pcmap[pc] = tref{bi, int32(len(ops) - first)}
 				pc++
 				break body
 			}
@@ -631,9 +635,8 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 					tp.maxArr = in.Arr
 				}
 			}
-			tp.pcmap[pc] = tref{bi, int32(len(b.ops))}
-			b.ops = append(b.ops, o)
-			b.aux = append(b.aux, ax)
+			tp.pcmap[pc] = tref{bi, int32(len(ops) - first)}
+			ops, aux = append(ops, o), append(aux, ax)
 			if sync {
 				acc = 0 // the op re-synchronizes time dynamically
 			} else {
@@ -641,6 +644,7 @@ func compileThreaded(p *isa.Program, t cost.Table) *tprog {
 			}
 			pc++
 		}
+		b.ops, b.aux = ops[first:len(ops):len(ops)], aux[first:len(aux):len(aux)]
 		tp.blocks = append(tp.blocks, b)
 	}
 
