@@ -2,7 +2,7 @@
 // IR kernels and cross-checks the full compile-and-simulate pipeline
 // against the reference interpreter over the {cores} × {speculation} ×
 // {normalization} × {threaded, reference engine} matrix (see
-// internal/fuzz). The threaded leg runs sink-free so its fused-block
+// internal/fuzz). The threaded leg runs unrecorded so its fused-block
 // runtime is exercised; the reference leg also records the event stream
 // and checks its stall windows against the counters.
 //

@@ -13,11 +13,12 @@
 // it in the chosen -trace-format: "text" (one line per retired
 // instruction), "perfetto" (Chrome trace-event JSON for ui.perfetto.dev,
 // schema-validated before the file is reported written), or "report" (the
-// per-core stall-attribution table).
+// per-core stall-attribution table). -trace N prints the first N retired
+// instructions as a timeline. One recorded simulation serves both flags
+// and verification.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -130,15 +131,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
+	// One simulation serves -trace-out, -trace and verification. The
+	// timeline alone needs only the retires. A failed run still leaves its
+	// partial recording, so the traces are written before the error.
 	cfg := par.MachineConfig()
 	cfg.Engine = *engine
-	if *traceOut != "" {
-		rec := obs.NewRecorder()
-		tcfg := cfg
-		tcfg.Sink = rec
-		if _, err := par.Run(tcfg); err != nil {
-			return fail(err)
+	var rec *obs.Recorder
+	if *traceOut != "" || *trace > 0 {
+		rec = &obs.Recorder{RetiresOnly: *traceOut == ""}
+		cfg.Sink = rec
+	}
+	var pres *sim.Result
+	var runErr error
+	if *verify {
+		if pres, runErr = par.Verify(cfg); runErr != nil {
+			runErr = fmt.Errorf("verification failed: %w", runErr)
 		}
+	} else {
+		pres, runErr = par.Run(cfg)
+	}
+	if *traceOut != "" {
 		data, err := obs.RenderTrace(*traceFormat, rec.Meta, rec.Events)
 		if err != nil {
 			return fail(err)
@@ -149,37 +161,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trace             %s (%s, %d events)\n", *traceOut, *traceFormat, len(rec.Events))
 	}
 	if *trace > 0 {
-		tw := &truncWriter{w: stdout, limit: *trace}
-		tcfg := cfg
-		tcfg.Sink = obs.NewText(tw)
-		if _, err := par.Run(tcfg); err != nil && !tw.done() {
+		data, err := obs.RenderTrace("text", rec.Meta, firstRetires(rec.Events, *trace))
+		if err != nil {
 			return fail(err)
 		}
+		stdout.Write(data)
 		fmt.Fprintln(stdout, "--- end of trace ---")
 	}
-	var pres = new(struct {
-		cycles    int64
-		queues    int
-		transfers int64
-		perCore   []int64
-		enqStalls []int64
-		deqStalls []int64
-	})
+	if runErr != nil {
+		return fail(runErr)
+	}
 	if *verify {
-		res, err := par.Verify(cfg)
-		if err != nil {
-			return fail(fmt.Errorf("verification failed: %w", err))
-		}
-		pres.cycles, pres.queues, pres.transfers = res.Cycles, res.PairsUsed, res.Transfers
-		pres.perCore, pres.enqStalls, pres.deqStalls = res.PerCoreCycles, res.EnqStalls, res.DeqStalls
 		fmt.Fprintln(stdout, "verification: parallel result bit-identical to the reference interpreter")
-	} else {
-		res, err := par.Run(cfg)
-		if err != nil {
-			return fail(err)
-		}
-		pres.cycles, pres.queues, pres.transfers = res.Cycles, res.PairsUsed, res.Transfers
-		pres.perCore, pres.enqStalls, pres.deqStalls = res.PerCoreCycles, res.EnqStalls, res.DeqStalls
 	}
 
 	if k != nil {
@@ -189,15 +182,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "machine           %d cores, queue length %d, transfer latency %d\n", *cores, *queueLen, *latency)
 	fmt.Fprintf(stdout, "sequential        %d cycles\n", sres.Cycles)
-	fmt.Fprintf(stdout, "parallel          %d cycles\n", pres.cycles)
+	fmt.Fprintf(stdout, "parallel          %d cycles\n", pres.Cycles)
 	if k != nil {
 		fmt.Fprintf(stdout, "speedup           %.2f (paper, 4 cores @ L=5: %.2f)\n",
-			float64(sres.Cycles)/float64(pres.cycles), k.PaperSpeedup)
+			float64(sres.Cycles)/float64(pres.Cycles), k.PaperSpeedup)
 	} else {
-		fmt.Fprintf(stdout, "speedup           %.2f\n", float64(sres.Cycles)/float64(pres.cycles))
+		fmt.Fprintf(stdout, "speedup           %.2f\n", float64(sres.Cycles)/float64(pres.Cycles))
 	}
-	fmt.Fprintf(stdout, "queue pairs used  %d\n", pres.queues)
-	fmt.Fprintf(stdout, "queue transfers   %d\n", pres.transfers)
+	fmt.Fprintf(stdout, "queue pairs used  %d\n", pres.PairsUsed)
+	fmt.Fprintf(stdout, "queue transfers   %d\n", pres.Transfers)
 	fmt.Fprintf(stdout, "comm ops in loop  %d (%d transfers/iteration)\n", par.Report.CommOps, par.Report.Transfers)
 	fmt.Fprintf(stdout, "load balance      %.2f\n", par.Report.LoadBalance)
 	if par.Report.Partitioner == core.PartitionerSearch {
@@ -205,49 +198,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			par.Report.SearchExplored, par.Report.SearchBaselineCycles, par.Report.SearchCycles)
 	}
 	fmt.Fprintln(stdout, "per-core timeline:")
-	for c := range pres.perCore {
-		stalls := pres.enqStalls[c] + pres.deqStalls[c]
-		busy := pres.perCore[c] - stalls
+	for c, cycles := range pres.PerCoreCycles {
+		stalls := pres.EnqStalls[c] + pres.DeqStalls[c]
+		busy := cycles - stalls
 		fmt.Fprintf(stdout, "  core %d: %8d cycles = %8d busy + %7d queue stall (%.0f%% utilized)\n",
-			c, pres.perCore[c], busy, stalls, 100*float64(busy)/float64(max(pres.perCore[c], 1)))
+			c, cycles, busy, stalls, 100*float64(busy)/float64(max(cycles, 1)))
 	}
 	return 0
 }
 
-// errTraceDone is truncWriter's answer once its lines are out. obs.TextSink
-// stops at its first write error, so the rest of the run formats nothing.
-var errTraceDone = errors.New("fgprun: trace line limit reached")
-
-// truncWriter forwards whole lines until the limit is reached, then drops
-// the rest (the simulation still runs to completion) and fails every write
-// with errTraceDone. It counts newlines, not Write calls, so it works under
-// any writer chunking.
-type truncWriter struct {
-	w     io.Writer
-	limit int
-	lines int
-}
-
-func (t *truncWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	for t.lines < t.limit && len(p) > 0 {
-		i := bytes.IndexByte(p, '\n')
-		if i < 0 {
-			// An unterminated tail: forward it, count it when its newline
-			// arrives in the next chunk... which never happens with the
-			// line-oriented trace writer, so just count it now.
-			i = len(p) - 1
+// firstRetires returns the prefix of a recording that ends at its n-th
+// retire, or the whole recording when it holds fewer.
+func firstRetires(events []obs.Event, n int) []obs.Event {
+	for i, e := range events {
+		if e.Kind == obs.KRetire {
+			if n--; n == 0 {
+				return events[:i+1]
+			}
 		}
-		t.lines++
-		if _, err := t.w.Write(p[:i+1]); err != nil {
-			return 0, err
-		}
-		p = p[i+1:]
 	}
-	if t.done() {
-		return n, errTraceDone
-	}
-	return n, nil
+	return events
 }
-
-func (t *truncWriter) done() bool { return t.lines >= t.limit }

@@ -109,3 +109,36 @@ func TestRunTraceTruncation(t *testing.T) {
 		t.Errorf("trace printed %d lines, want 5", got)
 	}
 }
+
+// TestRunTraceFlagsShareOneRun: -trace and -trace-out together print the
+// timeline -trace prints alone and write the file -trace-out writes alone,
+// from the one recorded run that also verifies.
+func TestRunTraceFlagsShareOneRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	invoke := func(args ...string) (string, []byte) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		args = append([]string{"-kernel", "sphot-1", "-cores", "2"}, args...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		os.Remove(path)
+		return out.String(), data
+	}
+	traceOut := []string{"-trace-out", path, "-trace-format", "perfetto"}
+	both, bothFile := invoke(append(traceOut, "-trace", "5")...)
+	alone, aloneFile := invoke(traceOut...)
+	timeline, _ := invoke("-trace", "5")
+	traceLine, _, _ := strings.Cut(alone, "\n")
+	if want := traceLine + "\n" + timeline; both != want {
+		t.Errorf("-trace 5 -trace-out printed\n%s\nwant\n%s", both, want)
+	}
+	if len(aloneFile) == 0 || !bytes.Equal(bothFile, aloneFile) {
+		t.Errorf("-trace 5 -trace-out wrote %d bytes, -trace-out alone %d, want the same file",
+			len(bothFile), len(aloneFile))
+	}
+}

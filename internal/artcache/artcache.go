@@ -33,9 +33,10 @@
 // cheap next to a compile, and a client that leaves should stop paying for
 // it.
 //
-// A bounded cache (NewBounded) holds about a fixed number of entries: a
-// fill that would pass the limit first evicts an arbitrary completed entry
-// of its shard.
+// A bounded cache (NewBounded) holds at most a fixed number of entries: a
+// fill that would pass the limit first evicts an arbitrary completed
+// entry. Fills in flight are never evicted, so a fill that finds every
+// entry in flight passes the limit.
 //
 // An optional disk tier sits underneath: a fill first asks the disk for
 // the address, and writes what it computes through to it, so a restarted
@@ -52,7 +53,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -95,13 +95,6 @@ type Kind struct {
 	Attached bool
 }
 
-const shards = 16
-
-type shard struct {
-	mu sync.Mutex
-	m  map[string]*entry
-}
-
 type entry struct {
 	done chan struct{} // closed once val/err are set
 	val  any
@@ -110,10 +103,11 @@ type entry struct {
 
 // Cache is the singleflight store. Safe for concurrent use.
 type Cache struct {
-	shards   [shards]shard
-	disk     Disk
-	budget   time.Duration
-	perShard int // entries a shard holds before a new fill evicts one; 0 = no bound
+	mu     sync.Mutex
+	m      map[string]*entry
+	disk   Disk
+	budget time.Duration
+	limit  int // entries held before a new fill evicts one; 0 = no bound
 
 	hits, misses atomic.Int64
 	// abandoned counts requesters that gave up (context done) before the
@@ -127,26 +121,18 @@ type Cache struct {
 // New returns an empty cache over the disk tier d (nil for memory only)
 // whose fills each run for at most budget (0 for no bound).
 func New(d Disk, budget time.Duration) *Cache {
-	c := &Cache{disk: d, budget: budget}
-	for i := range c.shards {
-		c.shards[i].m = map[string]*entry{}
-	}
-	return c
+	return &Cache{m: map[string]*entry{}, disk: d, budget: budget}
 }
 
-// NewBounded returns an empty memory-only cache that holds at most about
-// limit entries (limit rounded up to a multiple of the shard count), with
-// fills bounded by budget as in New.
+// NewBounded returns an empty memory-only cache that holds at most limit
+// entries (at least one), with fills bounded by budget as in New. A new
+// fill evicts an arbitrary completed entry to stay within the limit; when
+// every entry is in flight it evicts nothing and the cache passes its
+// limit.
 func NewBounded(limit int, budget time.Duration) *Cache {
 	c := New(nil, budget)
-	c.perShard = max(1, (limit+shards-1)/shards)
+	c.limit = max(1, limit)
 	return c
-}
-
-func (c *Cache) shardOf(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%shards]
 }
 
 // Do returns the value of kind at addr, running fill on first use. hit
@@ -155,20 +141,19 @@ func (c *Cache) shardOf(key string) *shard {
 // detached fill it was waiting on carries on for the others.
 func (c *Cache) Do(ctx context.Context, kind *Kind, addr string, fill func(context.Context) (any, error)) (val any, hit bool, err error) {
 	key := kind.Name + "-" + addr
-	sh := c.shardOf(key)
 	for {
-		sh.mu.Lock()
-		e, ok := sh.m[key]
+		c.mu.Lock()
+		e, ok := c.m[key]
 		if !ok {
-			if c.perShard > 0 && len(sh.m) >= c.perShard {
-				c.evictOne(sh)
+			if c.limit > 0 && len(c.m) >= c.limit {
+				c.evictOne()
 			}
 			e = &entry{done: make(chan struct{})}
-			sh.m[key] = e
-			sh.mu.Unlock()
+			c.m[key] = e
+			c.mu.Unlock()
 			if kind.Attached {
 				// On the requester's goroutine, under its context.
-				c.fill(ctx, kind, sh, key, e, fill)
+				c.fill(ctx, kind, key, e, fill)
 				c.misses.Add(1)
 				return e.val, false, e.err
 			}
@@ -176,10 +161,10 @@ func (c *Cache) Do(ctx context.Context, kind *Kind, addr string, fill func(conte
 			f.start()
 			go func() {
 				defer f.end()
-				c.fill(context.WithoutCancel(ctx), kind, sh, key, e, fill)
+				c.fill(context.WithoutCancel(ctx), kind, key, e, fill)
 			}()
 		} else {
-			sh.mu.Unlock()
+			c.mu.Unlock()
 		}
 		select {
 		case <-e.done:
@@ -204,25 +189,25 @@ func (c *Cache) Do(ctx context.Context, kind *Kind, addr string, fill func(conte
 
 // fill resolves the new entry e under ctx and publishes the outcome,
 // evicting e first when the fill failed on its context.
-func (c *Cache) fill(ctx context.Context, kind *Kind, sh *shard, key string, e *entry, fill func(context.Context) (any, error)) {
+func (c *Cache) fill(ctx context.Context, kind *Kind, key string, e *entry, fill func(context.Context) (any, error)) {
 	e.val, e.err = c.resolve(ctx, kind, key, fill)
 	if isContextErr(e.err) {
-		sh.mu.Lock()
-		if sh.m[key] == e {
-			delete(sh.m, key)
+		c.mu.Lock()
+		if c.m[key] == e {
+			delete(c.m, key)
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 	}
 	close(e.done)
 }
 
-// evictOne deletes an arbitrary completed entry of sh, whose lock the
-// caller holds. In-flight entries stay: their requesters are waiting.
-func (c *Cache) evictOne(sh *shard) {
-	for key, e := range sh.m {
+// evictOne deletes an arbitrary completed entry; the caller holds c.mu.
+// In-flight entries stay: their requesters are waiting.
+func (c *Cache) evictOne() {
+	for key, e := range c.m {
 		select {
 		case <-e.done:
-			delete(sh.m, key)
+			delete(c.m, key)
 			c.evicted.Add(1)
 			return
 		default:
@@ -290,12 +275,9 @@ func (c *Cache) Stats() Stats {
 		Fills:     c.fills.Load(),
 		Evicted:   c.evicted.Load(),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += int64(len(sh.m))
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	s.Entries = int64(len(c.m))
+	c.mu.Unlock()
 	return s
 }
 

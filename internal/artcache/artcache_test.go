@@ -387,8 +387,9 @@ func TestFillsCountsDetachedFills(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheEvicts: a bounded cache holds at most its limit of
-// entries, evicting completed ones, and never evicts a fill in flight.
+// TestBoundedCacheEvicts: a bounded cache holds its limit of entries
+// cache-wide, evicting completed ones past it, and never evicts a fill in
+// flight.
 func TestBoundedCacheEvicts(t *testing.T) {
 	c := NewBounded(32, 0)
 	const n = 200
@@ -398,13 +399,16 @@ func TestBoundedCacheEvicts(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if s := c.Stats(); i == 31 && (s.Entries != 32 || s.Evicted != 0) {
+			t.Errorf("stats %+v after 32 fills, want all 32 held", s)
+		}
 	}
-	if s := c.Stats(); s.Entries > 32 || s.Entries+s.Evicted != n || s.Misses != n {
-		t.Errorf("stats %+v, want at most 32 entries and the other %d evicted", s, n)
+	if s := c.Stats(); s.Entries != 32 || s.Evicted != n-32 || s.Misses != n {
+		t.Errorf("stats %+v, want 32 entries and the other %d evicted", s, n-32)
 	}
 
-	// One entry per shard: an in-flight fill survives a new fill in its
-	// shard, which then holds both.
+	// An in-flight fill survives a new fill past the limit, and the cache
+	// then holds both.
 	c = NewBounded(1, 0)
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan any)
@@ -417,13 +421,7 @@ func TestBoundedCacheEvicts(t *testing.T) {
 		done <- v
 	}()
 	<-started
-	other := ""
-	for i := 0; other == ""; i++ {
-		if k := strconv.Itoa(i); c.shardOf(memKind.Name+"-"+k) == c.shardOf(memKind.Name+"-a") {
-			other = k
-		}
-	}
-	if _, _, err := c.Do(context.Background(), memKind, other, func(context.Context) (any, error) { return 1, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), memKind, "b", func(context.Context) (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Entries != 2 || s.Evicted != 0 {

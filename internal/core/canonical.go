@@ -86,9 +86,9 @@ func ProfileOptions(opt Options) Options {
 
 // CanonicalRun returns the part of a simulation configuration a Result
 // depends on: cfg with Engine, Sink and DebugEdges zeroed. Every engine
-// returns a bit-identical Result; a sink observes a run without changing it
-// (a run that attaches one wants the event stream, so it bypasses result
-// memos); and DebugEdges only adds a check.
+// returns a bit-identical Result; a recorder observes a run without
+// changing it (a run that attaches one wants the event stream, so it
+// bypasses result memos); and DebugEdges only adds a check.
 func CanonicalRun(cfg sim.Config) sim.Config {
 	cfg.Engine, cfg.Sink, cfg.DebugEdges = "", nil, false
 	return cfg

@@ -46,7 +46,7 @@ type artifactWire struct {
 	Transfers    int
 	StaticQueues int
 	Report       Report
-	Machine      sim.Config // Sink is zeroed: sinks never persist
+	Machine      sim.Config // Sink is zeroed: recordings never persist
 }
 
 // Executable returns the part of a that running it needs: the loop and

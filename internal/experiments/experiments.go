@@ -67,8 +67,9 @@ type Runner struct {
 // maxFronts bounds the front cache. A front is large, about 120 KB for a
 // generated loop and 140 KB for a tier-1 kernel, so the cache stays near
 // 2.2 MB, and it is needed only while its loop's profile and compile
-// fills run: milliseconds for a miss or a sweep. A front evicted early
-// (the bound holds per shard) costs one rebuild, never a wrong result.
+// fills run: milliseconds for a miss or a sweep. The bound holds
+// cache-wide; a front evicted while its loop's fills still run (more than
+// maxFronts loops in flight) costs one rebuild, never a wrong result.
 const maxFronts = 16
 
 // maxResults bounds the simulation-result memo. A full fgpexp evaluation
@@ -331,8 +332,8 @@ func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim
 // ArtifactContext returned as addr, on cfg. Results are memoized under
 // sha256(core.CanonicalRun(cfg) ‖ 0 ‖ addr): a Result depends only on the
 // artifact and the run levers, and every engine returns a bit-identical
-// one, so cfg.Engine only picks the engine a miss runs on. A run with a
-// Sink attached bypasses the memo, since its output is the event
+// one, so cfg.Engine only picks the engine a miss runs on. A recorded run
+// (cfg.Sink set) bypasses the memo, since its output is the event
 // stream. hit reports whether an existing result served the call. The
 // Result may be shared with other callers and must not be modified. The
 // memo holds at most maxResults results; a new one past that evicts an

@@ -391,9 +391,9 @@ func diffResults(got, want *sim.Result) string {
 // interpreter trapped (rerr != nil), the simulation must also trap and the
 // value comparison is skipped. The returned error is always a *Mismatch.
 //
-// Only the reference leg records the event stream: a sink hands a threaded
-// run to the reference scheduler by construction, which would leave the
-// fused-block runtime unexercised, so the threaded leg runs sink-free and
+// Only the reference leg records the event stream: a recorded threaded run
+// goes to the reference scheduler by construction, which would leave the
+// fused-block runtime unexercised, so the threaded leg runs unrecorded and
 // its recorder is nil.
 func checkRun(src *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error, engine string) (*sim.Result, *obs.Recorder, error) {
 	cfg := art.MachineConfig()

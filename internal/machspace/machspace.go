@@ -15,6 +15,13 @@
 // (e.g. the verifier refusing a priming depth that exceeds a one-slot
 // queue) is recorded as a structured rejection in the surface rather than
 // failing the sweep.
+//
+// A heuristic sweep compiles one artifact per (cores, queue) cell and
+// applies the transfer latency at simulation time. The search partitioner
+// scores partitions on the machine it compiles for, so a searched sweep
+// compiles one artifact per (cores, queue, latency) cell — 30 for the
+// default grid instead of 5 — and each point reads what fgpd's /v1/run
+// reads for the same levers.
 package machspace
 
 import (

@@ -4,8 +4,9 @@
 // Artifacts and sequential baselines resolve through the experiment
 // runner's content-addressed cache (internal/artcache), addressed by the
 // canonical compile options (core.CanonicalOptions). Compile-relevant
-// levers (core count, queue capacity — token priming must fit — and the
-// partitioner) are part of an artifact's address, so a grid with 6
+// levers (core count, queue capacity — token priming must fit — the
+// partitioner, and under search the transfer latency; see the package
+// comment) are part of an artifact's address, so a heuristic grid with 6
 // latencies and 3 enqueue costs per (cores, queue) cell compiles each cell
 // once and simulates 18 times. Run-only levers (transfer latency, issue
 // costs, L1 geometry and latencies) are applied to the machine
@@ -156,14 +157,20 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 		}
 
 		// Compile-relevant levers address the artifact; the rest are
-		// applied to the machine configuration below.
-		a, addr, _, err := r.ArtifactContext(ctx, k, experiments.Variant{
+		// applied to the machine configuration below. The search scores
+		// its candidates on the compile machine, so that machine carries
+		// the point's transfer latency; the heuristic's address drops it.
+		copt := experiments.Variant{
 			Cores:        p.Cores,
-			QueueLen:     p.QueueLen,
 			Partitioner:  opt.Partitioner,
 			SearchSeed:   opt.SearchSeed,
 			SearchBudget: opt.SearchBudget,
-		}.Options())
+		}.Options()
+		mc := sim.DefaultConfig(p.Cores)
+		mc.QueueLen = p.QueueLen
+		mc.TransferLatency = p.TransferLatency
+		copt.Machine = &mc
+		a, addr, _, err := r.ArtifactContext(ctx, k, copt)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

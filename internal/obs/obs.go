@@ -1,18 +1,20 @@
 // Package obs is the cycle-attribution observability subsystem: a typed,
-// allocation-conscious event stream emitted by both simulator engines, plus
-// the consumers that turn one simulation's stream into the paper's
+// allocation-conscious event stream recorded by both simulator engines,
+// plus the consumers that turn one simulation's recording into the paper's
 // evaluation artifacts — a per-core/per-queue stall-attribution report
 // (the analysis behind Figures 13–16), a Chrome trace-event / Perfetto
 // JSON export, and the legacy text trace.
 //
-// The simulator buffers events per core while it runs and delivers them to
-// the Sink in canonical order after the run: a stable sort by (Time, Core)
-// that preserves per-core emission order among ties. Because each core's
-// execution — and therefore its emission sequence — is bit-identical across
-// the threaded and reference engines, the canonical stream is identical too,
-// which the determinism tests and the fuzz oracle enforce. A nil sink is
-// never consulted: the hot paths guard every emission behind one
-// predictable branch, so tracing costs nothing when off.
+// A run's events leave the simulator one way: as a Recorder attached to
+// the run. The simulator buffers events per core while it runs and, after
+// the run, hands the recorder the stream in canonical order: a stable sort
+// by (Time, Core) that preserves per-core emission order among ties.
+// Because each core's execution — and therefore its emission sequence — is
+// bit-identical across the threaded and reference engines, the canonical
+// stream is identical too, which the determinism tests and the fuzz oracle
+// enforce. A run without a recorder emits nothing: the hot paths guard
+// every emission behind one predictable branch, so tracing costs nothing
+// when off.
 package obs
 
 import (
@@ -110,19 +112,6 @@ type Event struct {
 	End    int64 // window end for KRetire and KStallBegin; == Time otherwise
 }
 
-// Mask declares which event kinds a sink consumes; producers may skip
-// emitting (and buffering) kinds outside the mask.
-type Mask uint8
-
-const (
-	MRetire Mask = 1 << iota
-	MQueue
-	MStall
-	MRegion
-
-	MAll = MRetire | MQueue | MStall | MRegion
-)
-
 // QueueMeta describes one hardware queue for consumers.
 type QueueMeta struct {
 	ID       int32
@@ -131,7 +120,7 @@ type QueueMeta struct {
 	Cap      int
 }
 
-// Meta is the machine context delivered to a sink before any event.
+// Meta is the machine context of a recording.
 type Meta struct {
 	Cores           int
 	TransferLatency int64
@@ -159,40 +148,21 @@ func (m *Meta) RegionName(r int32) string {
 	return "region " + itoa(int64(r))
 }
 
-// Sink receives one simulation's event stream.
-type Sink interface {
-	// Mask declares the event kinds this sink consumes.
-	Mask() Mask
-	// Begin delivers the machine metadata before the first event.
-	Begin(Meta)
-	// Emit delivers events in canonical order.
-	Emit(Event)
-	// Close flushes the sink after the last event and reports the first
-	// write error, if any.
-	Close() error
-}
-
-// Recorder is a Sink that retains the full stream in memory for the
-// report and Perfetto consumers.
+// Recorder holds one simulation's recording: attached as sim.Config.Sink,
+// it receives the machine metadata and the whole event stream, in
+// canonical order, when the run ends, even when the run failed. A second
+// run replaces the first one's recording.
 type Recorder struct {
-	Meta   Meta
-	Events []Event
+	// RetiresOnly records instruction retires only, all the text trace
+	// shows, so the simulator buffers and sorts about half as many events.
+	// By default a recorder records every event.
+	RetiresOnly bool
+	Meta        Meta
+	Events      []Event
 }
 
-// NewRecorder returns an empty recorder.
+// NewRecorder returns an empty recorder that records every event.
 func NewRecorder() *Recorder { return &Recorder{} }
-
-// Mask implements Sink: a recorder keeps everything.
-func (r *Recorder) Mask() Mask { return MAll }
-
-// Begin implements Sink.
-func (r *Recorder) Begin(m Meta) { r.Meta = m }
-
-// Emit implements Sink.
-func (r *Recorder) Emit(e Event) { r.Events = append(r.Events, e) }
-
-// Close implements Sink.
-func (r *Recorder) Close() error { return nil }
 
 // Canonicalize stable-sorts events into the canonical delivery order:
 // by Time, then core id, preserving per-core emission order among ties.

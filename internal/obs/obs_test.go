@@ -52,21 +52,13 @@ func TestCanonicalizeOrdersByTimeThenCore(t *testing.T) {
 	}
 }
 
-func TestTextSinkFormat(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewText(&buf)
-	if s.Mask() != MRetire {
-		t.Fatalf("text sink mask = %v, want MRetire", s.Mask())
-	}
+func TestRenderTextFormat(t *testing.T) {
 	meta, events := synthetic()
-	s.Begin(meta)
-	for _, e := range events {
-		s.Emit(e)
-	}
-	if err := s.Close(); err != nil {
+	out, err := RenderTrace("text", meta, events)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(string(out), "\n"), "\n")
 	var retires int
 	for _, e := range events {
 		if e.Kind == KRetire {
@@ -74,7 +66,7 @@ func TestTextSinkFormat(t *testing.T) {
 		}
 	}
 	if len(lines) != retires {
-		t.Fatalf("got %d lines for %d retires:\n%s", len(lines), retires, buf.String())
+		t.Fatalf("got %d lines for %d retires:\n%s", len(lines), retires, out)
 	}
 	if lines[0] != "t=0..1 core=0 pc=0 consti" {
 		t.Errorf("first line = %q, want %q", lines[0], "t=0..1 core=0 pc=0 consti")
@@ -184,27 +176,5 @@ func TestValidatePerfettoRejects(t *testing.T) {
 		if err := ValidatePerfetto([]byte(data)); err == nil {
 			t.Errorf("%s: validator accepted invalid trace %s", name, data)
 		}
-	}
-}
-
-// failWriter errors after n bytes, for sink error propagation.
-type failWriter struct{ n int }
-
-func (f *failWriter) Write(p []byte) (int, error) {
-	if f.n <= 0 {
-		return 0, bytes.ErrTooLarge
-	}
-	f.n -= len(p)
-	return len(p), nil
-}
-
-func TestTextSinkReportsWriteError(t *testing.T) {
-	s := NewText(&failWriter{n: 10})
-	_, events := synthetic()
-	for _, e := range events {
-		s.Emit(e)
-	}
-	if s.Close() == nil {
-		t.Fatal("text sink swallowed the write error")
 	}
 }

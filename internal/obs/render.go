@@ -11,20 +11,21 @@ import (
 const TraceFormats = "text, perfetto, report"
 
 // RenderTrace renders one recorded stream in a named format: "text" (the
-// legacy per-retire line format), "perfetto" (Chrome trace-event JSON,
-// validated against the schema before being returned), or "report" (the
-// stall-attribution table). Events must be in canonical order.
+// legacy trace, one line per retired instruction in the form below, where
+// a queue stall shows up as a gap between one line's end and the next
+// line's start), "perfetto" (Chrome trace-event JSON, validated against
+// the schema before being returned), or "report" (the stall-attribution
+// table). Events must be in canonical order.
+//
+//	t=<start>..<end> core=<id> pc=<pc> <op>
 func RenderTrace(format string, meta Meta, events []Event) ([]byte, error) {
 	var buf bytes.Buffer
 	switch format {
 	case "text":
-		t := NewText(&buf)
-		t.Begin(meta)
 		for _, e := range events {
-			t.Emit(e)
-		}
-		if err := t.Close(); err != nil {
-			return nil, err
+			if e.Kind == KRetire {
+				fmt.Fprintf(&buf, "t=%d..%d core=%d pc=%d %s\n", e.Time, e.End, e.Core, e.PC, OpName(e.Op))
+			}
 		}
 	case "perfetto":
 		if err := WritePerfetto(&buf, meta, events); err != nil {

@@ -71,8 +71,7 @@ func (r *Report) StallTotals() [NumCauses]int64 {
 }
 
 // BuildReport computes the attribution from one recorded stream. Events
-// must be in canonical order (as delivered to a Sink; Recorder streams
-// qualify).
+// must be in canonical order, as a Recorder holds them.
 func BuildReport(meta Meta, events []Event) *Report {
 	r := &Report{Meta: meta, Cores: make([]CoreReport, meta.Cores)}
 	for i := range r.Cores {

@@ -1,7 +1,8 @@
 // /v1/frontier conformance: inverse queries answered from the cached
 // surface with zero recompiles, structured 404 misses, bad-grid 400s,
 // zero-valued lever grids, warm restart from the on-disk store, and swept
-// points that /v1/run then serves without compiling.
+// points, heuristic or searched, that /v1/run then serves without
+// compiling.
 
 package service
 
@@ -275,6 +276,45 @@ func TestSweptPointCompilesNothing(t *testing.T) {
 	}
 	if after := s.Snapshot().Artifacts.Compiles; after != before {
 		t.Errorf("running %d swept points cost %d compiles, want 0", ran, after-before)
+	}
+}
+
+// TestFrontierSearchPointMatchesRun: a searched sweep compiles each point
+// for its own transfer latency, as /v1/run compiles a searched request, so
+// each point of the surface reads the cycles /v1/run reads for the same
+// levers, from the artifact the sweep compiled.
+func TestFrontierSearchPointMatchesRun(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body, _ := json.Marshal(FrontierRequest{Kernel: "lammps-2", Partitioner: "search",
+		Grid: &machspace.Grid{Cores: []int{4}, TransferLatency: []int64{5, 50}}})
+	code, fr, data := postFrontier(t, ts, string(body))
+	if code != 200 {
+		t.Fatalf("sweep: %d %s", code, data)
+	}
+	v, hit, err := s.run.Cache().Do(context.Background(), surfaceKind, fr.SurfaceAddress, nil)
+	if err != nil || !hit {
+		t.Fatalf("surface not cached: hit=%v err=%v", hit, err)
+	}
+	surf := v.(*machspace.Surface)
+	if len(surf.Points) != 2 {
+		t.Fatalf("swept %d points, want 2", len(surf.Points))
+	}
+	for _, p := range surf.Points {
+		if !p.OK() {
+			t.Fatalf("%s: rejected: %s", p.Point, p.Reject)
+		}
+		q, lat := p.Point.QueueLen, p.Point.TransferLatency
+		code, resp, errMsg := postRun(t, ts, RunRequest{Kernel: "lammps-2", Cores: p.Point.Cores,
+			QueueLen: &q, TransferLatency: &lat, Partitioner: "search"})
+		if code != 200 {
+			t.Fatalf("%s: %d %s", p.Point, code, errMsg)
+		}
+		if !resp.CachedArtifact {
+			t.Errorf("%s: /v1/run missed the artifact its sweep compiled", p.Point)
+		}
+		if resp.Cycles != p.Cycles || resp.SeqCycles != p.SeqCycles {
+			t.Errorf("%s: /v1/run %d/%d cycles, surface %d/%d", p.Point, resp.Cycles, resp.SeqCycles, p.Cycles, p.SeqCycles)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fgp/internal/core"
@@ -189,6 +190,49 @@ func TestEventStreamMatchesAcrossEngines(t *testing.T) {
 					if rec.Events[i] != rRec.Events[i] {
 						t.Fatalf("event %d diverges:\n  threaded  %+v\n  reference %+v", i, rec.Events[i], rRec.Events[i])
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestRetiresOnlyRecordingIsTheRetireFilter: a recording that keeps
+// retires only holds exactly the retires of the full recording, in the same
+// order, under the same metadata, for every tier-1 kernel at 2 and 4 cores.
+// The text trace and fgprun's timeline read such a recording.
+func TestRetiresOnlyRecordingIsTheRetireFilter(t *testing.T) {
+	for _, k := range kernels.All() {
+		for _, cores := range []int{2, 4} {
+			k, cores := k, cores
+			t.Run(fmt.Sprintf("%s/%dcore", k.Name, cores), func(t *testing.T) {
+				t.Parallel()
+				a, err := core.Compile(k.Build(), core.DefaultOptions(cores))
+				if err != nil {
+					t.Fatalf("compile: %v", err)
+				}
+				full, retires := obs.NewRecorder(), &obs.Recorder{RetiresOnly: true}
+				for _, rec := range []*obs.Recorder{full, retires} {
+					cfg := a.MachineConfig()
+					cfg.Sink = rec
+					if _, err := a.Run(cfg); err != nil {
+						t.Fatalf("run: %v", err)
+					}
+				}
+				if !reflect.DeepEqual(retires.Meta, full.Meta) {
+					t.Errorf("metadata differs: retires only %+v, full %+v", retires.Meta, full.Meta)
+				}
+				var want []obs.Event
+				for _, e := range full.Events {
+					if e.Kind == obs.KRetire {
+						want = append(want, e)
+					}
+				}
+				if len(want) == len(full.Events) {
+					t.Fatal("the full recording holds retires only")
+				}
+				if !slices.Equal(retires.Events, want) {
+					t.Errorf("retires-only recording (%d events) differs from the full recording's %d retires",
+						len(retires.Events), len(want))
 				}
 			})
 		}

@@ -1,7 +1,7 @@
 // Observability plumbing: the machine-side half of internal/obs. Events are
 // appended to per-core buffers in each core's execution order while the run
 // is in flight, then merged into the canonical (Time, Core)-stable order and
-// delivered to the sink. A sink-attached run always executes on the
+// handed to the run's recorder. A recorded run always executes on the
 // reference scheduler (the threaded engine hands it over), so the
 // canonical stream is the same whichever engine was selected — the
 // determinism tests enforce this.
@@ -14,16 +14,11 @@ import (
 	"fgp/internal/queue"
 )
 
-// attachObs arms the emission paths for one run.
-func (m *Machine) attachObs(sink obs.Sink) {
-	m.sink = sink
-	mask := sink.Mask()
-	m.obsRetire = mask&obs.MRetire != 0
-	m.obsQueue = mask&obs.MQueue != 0
-	m.obsStall = mask&obs.MStall != 0
-	m.obsRegion = mask&obs.MRegion != 0
+// attachObs arms the emission paths for one recorded run.
+func (m *Machine) attachObs() {
+	m.obsAll = !m.cfg.Sink.RetiresOnly
 	m.obsBuf = make([][]obs.Event, len(m.cores))
-	if m.obsRegion {
+	if m.obsAll {
 		m.marks = make([]map[int][]isa.Mark, len(m.cores))
 		m.regionStack = make([][]int32, len(m.cores))
 		for i, c := range m.cores {
@@ -39,11 +34,10 @@ func (m *Machine) attachObs(sink obs.Sink) {
 	}
 }
 
-// drainObs merges the per-core buffers into canonical order and delivers
-// the stream. It runs even when the simulation errored, so a partial trace
-// of a deadlocked run survives.
-func (m *Machine) drainObs(sink obs.Sink) error {
-	sink.Begin(m.obsMeta())
+// drainObs merges the per-core buffers into canonical order and gives the
+// recorder the run's metadata and stream. It runs even when the simulation
+// errored, so a partial trace of a deadlocked run survives.
+func (m *Machine) drainObs() {
 	total := 0
 	for _, b := range m.obsBuf {
 		total += len(b)
@@ -53,13 +47,10 @@ func (m *Machine) drainObs(sink obs.Sink) error {
 		all = append(all, b...)
 	}
 	obs.Canonicalize(all)
-	for i := range all {
-		sink.Emit(all[i])
-	}
-	return sink.Close()
+	m.cfg.Sink.Meta, m.cfg.Sink.Events = m.obsMeta(), all
 }
 
-// obsMeta describes the machine to the sink.
+// obsMeta describes the machine to the recorder.
 func (m *Machine) obsMeta() obs.Meta {
 	meta := obs.Meta{Cores: len(m.cores), TransferLatency: m.cfg.TransferLatency}
 	for _, q := range m.queues {
@@ -120,7 +111,7 @@ func (m *Machine) evQueue(kind obs.Kind, core int, q *queue.Queue, t int64) {
 // instruction: pc ran on core over [start, end). Marks fire at completion,
 // never on a blocked enqueue/dequeue retry, so each boundary fires once.
 func (m *Machine) evComplete(core, pc int, op isa.Op, start, end int64) {
-	if m.obsRegion && m.marks[core] != nil {
+	if m.obsAll && m.marks[core] != nil {
 		if mks, ok := m.marks[core][pc]; ok {
 			st := m.regionStack[core]
 			for _, mk := range mks {
@@ -135,7 +126,5 @@ func (m *Machine) evComplete(core, pc int, op isa.Op, start, end int64) {
 			m.regionStack[core] = st
 		}
 	}
-	if m.obsRetire {
-		m.emit(core, obs.Event{Kind: obs.KRetire, Op: uint8(op), PC: int32(pc), Queue: -1, Time: start, End: end})
-	}
+	m.emit(core, obs.Event{Kind: obs.KRetire, Op: uint8(op), PC: int32(pc), Queue: -1, Time: start, End: end})
 }

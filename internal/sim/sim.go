@@ -11,6 +11,10 @@
 // Because cores interact only through the queues (the compiler never splits
 // ordered memory accesses across cores), this ordering yields the same
 // result as a cycle-by-cycle lockstep simulation.
+//
+// A run's observability events (internal/obs) leave the simulator one way:
+// as the recording of an obs.Recorder attached as Config.Sink, filled in
+// canonical order when the run ends (obs.go).
 package sim
 
 import (
@@ -54,12 +58,12 @@ type Config struct {
 	MemPortCycles int64
 	// MaxSteps bounds total executed instructions (runaway guard).
 	MaxSteps int64
-	// Sink, when non-nil, receives the typed observability event stream —
+	// Sink, when non-nil, records the typed observability event stream —
 	// instruction retires, queue operations, stall windows with causes,
 	// region markers — in canonical order after the run, identical under
-	// both engines. A nil sink costs nothing: every emission hides behind
-	// one predictable branch.
-	Sink obs.Sink
+	// both engines. A nil recorder costs nothing: every emission hides
+	// behind one predictable branch.
+	Sink *obs.Recorder
 	// Engine selects the execution engine by name: EngineThreaded (the
 	// default when empty; block-fused threaded code, see threaded.go) or
 	// EngineReference (one global scheduling decision per executed
@@ -183,13 +187,13 @@ type Machine struct {
 	tArrI  [][]int64
 	tBase  []int64
 
-	// Observability state (see internal/obs); all nil/false when no sink is
-	// attached, so the hot paths pay one branch. sink is Config.Sink;
-	// obsBuf collects events per core in emission order, merged into
-	// canonical order and delivered after the run.
-	sink                                     obs.Sink
-	obsRetire, obsQueue, obsStall, obsRegion bool
-	obsBuf                                   [][]obs.Event
+	// Observability state (see internal/obs); nil/false unless Config.Sink
+	// records the run, so the hot paths pay one branch. obsAll records
+	// queue, stall and region events besides retires; obsBuf collects
+	// events per core in emission order, merged into canonical order and
+	// handed to the recorder after the run.
+	obsAll bool
+	obsBuf [][]obs.Event
 	// marks indexes each core's region marks by pc; regionStack tracks the
 	// regions currently open on each core so an exit mark on a shared merge
 	// point only fires for the path that actually opened its region.
@@ -250,11 +254,11 @@ func New(progs []*isa.Program, memory *mem.Memory, cfg Config) (*Machine, error)
 // threaded engine (runThreaded) executes each picked core in fused basic
 // blocks, and the reference engine (runReference) re-enters the global
 // scheduler after every instruction. Config.Engine selects between them.
-// A run with Config.Sink attached executes on the reference scheduler under
-// either engine, so the event stream is the same.
+// A run recorded through Config.Sink executes on the reference scheduler
+// under either engine, so the event stream is the same.
 //
-// On error (deadlock, runaway), the events emitted so far still reach the
-// sink, so a partial trace of the failing run survives.
+// On error (deadlock, runaway), the events emitted so far are still
+// recorded, so a partial trace of the failing run survives.
 func (m *Machine) Run() (*Result, error) { return m.RunContext(context.Background()) }
 
 // cancelStride is how many executed instructions may pass between context
@@ -271,11 +275,10 @@ const cancelStride = 1 << 16
 // its deadline passes, the simulation aborts within about one stride
 // (cancelStride instructions, plus the rest of a block) and returns
 // ctx.Err() verbatim. Events emitted
-// before the abort still reach the sink, like any other error path.
+// before the abort are still recorded, like any other error path.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
-	sink := m.cfg.Sink
-	if sink != nil {
-		m.attachObs(sink)
+	if m.cfg.Sink != nil {
+		m.attachObs()
 	}
 	var res *Result
 	var err error
@@ -284,10 +287,8 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	} else {
 		res, err = m.runThreaded(ctx)
 	}
-	if sink != nil {
-		if serr := m.drainObs(sink); serr != nil && err == nil {
-			err = fmt.Errorf("sim: event sink: %w", serr)
-		}
+	if m.cfg.Sink != nil {
+		m.drainObs()
 	}
 	if err != nil {
 		return nil, err
@@ -371,13 +372,12 @@ func (m *Machine) coreByID(id int) *coreState {
 }
 
 // step executes one instruction on c, emitting the completion's
-// observability events when a sink is attached. Every reference-scheduled
+// observability events when the run is recorded. Every reference-scheduled
 // instruction comes through here, so queue, stall and retire emission lives
-// in one place. The wrapper is small enough
-// to inline, so the nil-sink path costs one predictable branch over calling
+// in one place. An unrecorded run pays one predictable branch over calling
 // stepExec directly.
 func (m *Machine) step(c *coreState) error {
-	if m.sink != nil {
+	if m.cfg.Sink != nil {
 		return m.stepObs(c)
 	}
 	return m.stepExec(c)
@@ -456,7 +456,7 @@ func (m *Machine) stepExec(c *coreState) error {
 				m.memPortFree = start + m.cfg.MemPortCycles
 				m.portBusy += m.cfg.MemPortCycles
 			}
-			if m.obsStall {
+			if m.obsAll {
 				m.evStall(c.id, obs.CauseMemPort, c.time, start)
 				m.evStall(c.id, obs.CauseL1Miss, start+t.L1Hit, start+t.L1Miss)
 			}
@@ -492,7 +492,7 @@ func (m *Machine) stepExec(c *coreState) error {
 			return nil // pc unchanged; retried after a dequeue frees a slot
 		}
 		q.Push(c.regs[in.A], c.time+m.cfg.TransferLatency, in.Edge)
-		if m.obsQueue {
+		if m.obsAll {
 			m.evQueue(obs.KEnq, c.id, q, c.time)
 		}
 		c.time += t.Enq
@@ -521,13 +521,13 @@ func (m *Machine) stepExec(c *coreState) error {
 			start = e.AvailAt
 		}
 		c.deqSt += start - c.time
-		if m.obsStall {
+		if m.obsAll {
 			// The deq-empty window covers both the blocked-on-empty wait and
 			// the visibility wait on the transfer latency — exactly what the
 			// deqSt counter accumulates.
 			m.evStall(c.id, obs.CauseDeqEmpty, c.time, start)
 		}
-		if m.obsQueue {
+		if m.obsAll {
 			m.evQueue(obs.KDeq, c.id, q, start)
 		}
 		c.regs[in.Dst] = e.V
@@ -537,7 +537,7 @@ func (m *Machine) stepExec(c *coreState) error {
 			src.blocked = notBlocked
 			src.blockQ = nil
 			src.enqSt += start - src.blockAt
-			if m.obsStall {
+			if m.obsAll {
 				// The sender's enq-full window is known only now, at the
 				// wake; emit it into the sender's buffer (the canonical merge
 				// re-orders it by start time), matching enqSt exactly.

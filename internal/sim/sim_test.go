@@ -490,9 +490,9 @@ func TestLiveOutExtraction(t *testing.T) {
 }
 
 func TestTraceOutput(t *testing.T) {
-	var buf strings.Builder
+	rec := obs.NewRecorder()
 	c := cfg1()
-	c.Sink = obs.NewText(&buf)
+	c.Sink = rec
 	p := prog(0,
 		isa.Instr{Op: isa.ConstI, Dst: 0, A: noReg, B: noReg, ImmI: 1},
 		isa.Instr{Op: isa.Bin, BinOp: ir.Add, K: ir.I64, Dst: 1, A: 0, B: 0},
@@ -505,7 +505,11 @@ func TestTraceOutput(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	data, err := obs.RenderTrace("text", rec.Meta, rec.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(data)
 	for _, frag := range []string{"t=0..1 core=0 pc=0 consti", "pc=1 bin", "halt"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("trace missing %q:\n%s", frag, out)

@@ -40,8 +40,8 @@
 //     past cancelStride steps.
 //
 // Eligibility and hand-over. A machine runs threaded only when every
-// core's program translates (tcompile.go); otherwise, and whenever an event
-// sink is attached, the whole run goes to runReference. A translated run
+// core's program translates (tcompile.go); otherwise, and whenever the run
+// is recorded, the whole run goes to runReference. A translated run
 // hands over to runReference mid-run in two cases static analysis cannot
 // cover: an indirect jump whose target is not the canonical driver body,
 // and a block that would run past the MaxSteps remainder. The hand-over
@@ -107,7 +107,7 @@ func (m *Machine) tinit() bool {
 // runThreaded runs the machine on the threaded engine when it can, and on
 // the reference scheduler otherwise.
 func (m *Machine) runThreaded(ctx context.Context) (*Result, error) {
-	if m.sink != nil || !m.tinit() {
+	if m.cfg.Sink != nil || !m.tinit() {
 		// Under instrumentation every instruction must flow through the
 		// shared step path so the event stream is the reference engine's
 		// by construction.
