@@ -198,7 +198,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				Partitioner:  "",
 				SearchSeed:   *searchSeed,
 				SearchBudget: *searchBudget,
-				Engine:       *engine,
 			})
 			if err != nil {
 				return "", nil, err

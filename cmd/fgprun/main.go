@@ -9,9 +9,10 @@
 //	fgprun -kernel sphot-1 -cores 3 -trace-out trace.json -trace-format perfetto
 //	fgprun -kernel sphot-1 -cores 3 -trace-out report.txt -trace-format report
 //
-// -trace-out records the run's full observability event stream and writes
-// it in the chosen -trace-format: "text" (one line per retired
-// instruction), "perfetto" (Chrome trace-event JSON for ui.perfetto.dev,
+// -trace-out records the run's observability event stream and writes it in
+// the chosen -trace-format: "text" (one line per retired instruction; only
+// the retires are recorded, so the event count it prints is the line
+// count), "perfetto" (Chrome trace-event JSON for ui.perfetto.dev,
 // schema-validated before the file is reported written), or "report" (the
 // per-core stall-attribution table). -trace N prints the first N retired
 // instructions as a timeline. One recorded simulation serves both flags
@@ -132,13 +133,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One simulation serves -trace-out, -trace and verification. The
-	// timeline alone needs only the retires. A failed run still leaves its
-	// partial recording, so the traces are written before the error.
+	// timeline and a text trace need only the retires. A failed run still
+	// leaves its partial recording, so the traces are written before the
+	// error.
 	cfg := par.MachineConfig()
 	cfg.Engine = *engine
 	var rec *obs.Recorder
 	if *traceOut != "" || *trace > 0 {
-		rec = &obs.Recorder{RetiresOnly: *traceOut == ""}
+		rec = &obs.Recorder{RetiresOnly: *traceOut == "" || *traceFormat == "text"}
 		cfg.Sink = rec
 	}
 	var pres *sim.Result

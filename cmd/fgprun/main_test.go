@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,5 +141,29 @@ func TestRunTraceFlagsShareOneRun(t *testing.T) {
 	if len(aloneFile) == 0 || !bytes.Equal(bothFile, aloneFile) {
 		t.Errorf("-trace 5 -trace-out wrote %d bytes, -trace-out alone %d, want the same file",
 			len(bothFile), len(aloneFile))
+	}
+}
+
+// TestRunTextTraceCountsItsLines: a text trace records only the retires it
+// prints, so the event count fgprun reports for -trace-out F -trace-format
+// text is F's line count.
+func TestRunTextTraceCountsItsLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.txt")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-kernel", "umt2k-6", "-cores", "4", "-trace-out", path, "-trace-format", "text"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := strings.Cut(out.String(), "\n")
+	_, count, _ := strings.Cut(line, "(text, ")
+	var events int
+	if _, err := fmt.Sscanf(count, "%d events)", &events); err != nil {
+		t.Fatalf("no event count in %q: %v", line, err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); lines == 0 || events != lines {
+		t.Errorf("%q for a %d-line text trace", line, lines)
 	}
 }

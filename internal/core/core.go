@@ -28,6 +28,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -508,39 +509,21 @@ func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Inf
 }
 
 // sameOutcome requires the searched partition's scoring run to leave final
-// memory and live-out values bit-identical to the heuristic seed's. The
-// compiler's correctness story does not rest on this check —
+// memory and live-out values bit-identical to the heuristic seed's, NaN
+// payloads included (CheckOutcome against a snapshot of the seed's run).
+// The compiler's correctness story does not rest on this check —
 // internal/verify already validated the searched program — but the search
 // promises it anyway: an accepted speedup must be the same computation.
 func sameOutcome(l *ir.Loop, seed, best *scoringRun) error {
+	want := &interp.Result{ArraysF: map[string][]float64{}, ArraysI: map[string][]int64{}, Temps: seed.res.LiveOut}
 	for _, arr := range l.Arrays {
 		if arr.K == ir.F64 {
-			a, b := seed.image.SnapshotF(arr.Name), best.image.SnapshotF(arr.Name)
-			for i := range a {
-				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-					return fmt.Errorf("%s[%d] = %v (heuristic) vs %v (search)", arr.Name, i, a[i], b[i])
-				}
-			}
+			want.ArraysF[arr.Name] = seed.image.SnapshotF(arr.Name)
 		} else {
-			a, b := seed.image.SnapshotI(arr.Name), best.image.SnapshotI(arr.Name)
-			for i := range a {
-				if a[i] != b[i] {
-					return fmt.Errorf("%s[%d] = %v (heuristic) vs %v (search)", arr.Name, i, a[i], b[i])
-				}
-			}
+			want.ArraysI[arr.Name] = seed.image.SnapshotI(arr.Name)
 		}
 	}
-	for _, name := range l.LiveOut {
-		a, aok := seed.res.LiveOut[name]
-		b, bok := best.res.LiveOut[name]
-		if aok != bok {
-			return fmt.Errorf("live-out %q present=%v (heuristic) vs present=%v (search)", name, aok, bok)
-		}
-		if a.K != b.K || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) {
-			return fmt.Errorf("live-out %q = %+v (heuristic) vs %+v (search)", name, a, b)
-		}
-	}
-	return nil
+	return CheckOutcome(l, best.image, best.res.LiveOut, want, false)
 }
 
 // ComputeProfile runs the front half of the pipeline (NewFront, after the
@@ -686,7 +669,7 @@ func (a *Artifact) MachineConfig() sim.Config { return a.machine }
 
 // Verify simulates the artifact and checks its final memory image and
 // live-out values bit-for-bit against the reference interpreter running the
-// ORIGINAL (pre-speculation) loop.
+// ORIGINAL (pre-speculation) loop; see CheckOutcome.
 func (a *Artifact) Verify(cfg sim.Config) (*sim.Result, error) {
 	cfg.DebugEdges = true
 	memImage := outline.BuildMemory(a.Loop)
@@ -702,34 +685,69 @@ func (a *Artifact) Verify(cfg sim.Config) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, arr := range a.Source.Arrays {
+	if err := CheckOutcome(a.Source, memImage, res.LiveOut, ref, true); err != nil {
+		return nil, fmt.Errorf("core: verify %s: %w", a.Loop.Name, err)
+	}
+	return res, nil
+}
+
+// A Divergence is CheckOutcome's error: the first array element or
+// live-out in which a run's final state differs from the state it is held
+// to.
+type Divergence struct {
+	LiveOut bool   // a live-out differs, not an array element
+	Detail  string // the element or live-out, its value and the one wanted
+}
+
+func (d *Divergence) Error() string { return d.Detail }
+
+// CheckOutcome compares the final state a run of l left, its memory image
+// and its live-outs, with want: the reference interpreter's result, or a
+// snapshot of another run. It compares every element of every array of l
+// and every live-out of l by their bits, so -0 differs from +0. With
+// anyNaN, any NaN matches any NaN: the interpreter's NaN payloads are not a
+// contract. Two compiled runs must match exactly. It returns nil or a
+// *Divergence naming the first difference.
+func CheckOutcome(l *ir.Loop, image *mem.Memory, liveOut map[string]interp.Value, want *interp.Result, anyNaN bool) error {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || anyNaN && math.IsNaN(a) && math.IsNaN(b)
+	}
+	for _, arr := range l.Arrays {
 		if arr.K == ir.F64 {
-			got := memImage.SnapshotF(arr.Name)
-			want := ref.ArraysF[arr.Name]
-			for i := range want {
-				if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-					return nil, fmt.Errorf("core: verify %s: %s[%d] = %v, want %v", a.Loop.Name, arr.Name, i, got[i], want[i])
+			got, w := image.SnapshotF(arr.Name), want.ArraysF[arr.Name]
+			for i := range w {
+				if !same(got[i], w[i]) {
+					return &Divergence{Detail: fmt.Sprintf("%s[%d] = %v, want %v", arr.Name, i, got[i], w[i])}
 				}
 			}
 		} else {
-			got := memImage.SnapshotI(arr.Name)
-			want := ref.ArraysI[arr.Name]
-			for i := range want {
-				if got[i] != want[i] {
-					return nil, fmt.Errorf("core: verify %s: %s[%d] = %v, want %v", a.Loop.Name, arr.Name, i, got[i], want[i])
+			got, w := image.SnapshotI(arr.Name), want.ArraysI[arr.Name]
+			for i := range w {
+				if got[i] != w[i] {
+					return &Divergence{Detail: fmt.Sprintf("%s[%d] = %d, want %d", arr.Name, i, got[i], w[i])}
 				}
 			}
 		}
 	}
-	for _, name := range a.Source.LiveOut {
-		got, ok := res.LiveOut[name]
-		if !ok {
-			return nil, fmt.Errorf("core: verify %s: live-out %q missing from result", a.Loop.Name, name)
-		}
-		want := ref.Temps[name]
-		if got.K != want.K || got.F != want.F && !(math.IsNaN(got.F) && math.IsNaN(want.F)) || got.I != want.I {
-			return nil, fmt.Errorf("core: verify %s: live-out %q = %+v, want %+v", a.Loop.Name, name, got, want)
+	for _, name := range l.LiveOut {
+		got, gok := liveOut[name]
+		w, wok := want.Temps[name]
+		switch {
+		case !gok || !wok:
+			return &Divergence{LiveOut: true, Detail: fmt.Sprintf("live-out %q present=%v, want present=%v", name, gok, wok)}
+		case got.K != w.K || got.I != w.I || !same(got.F, w.F):
+			return &Divergence{LiveOut: true, Detail: fmt.Sprintf("live-out %q = %+v, want %+v", name, got, w)}
 		}
 	}
-	return res, nil
+	return nil
+}
+
+// IsTrap reports whether err is a semantic trap of the loop itself, an
+// integer division by zero or an out-of-bounds access, as opposed to an
+// infrastructure failure such as a deadlock or a FIFO mismatch. A trap is
+// a legitimate outcome the compiled code must reproduce.
+func IsTrap(err error) bool {
+	return errors.Is(err, interp.ErrDivByZero) ||
+		errors.Is(err, interp.ErrOutOfBounds) ||
+		errors.Is(err, mem.ErrOutOfBounds)
 }

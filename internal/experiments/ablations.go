@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"fgp/internal/core"
 	"fgp/internal/kernels"
 	"fgp/internal/sim"
 	"fgp/internal/verify"
@@ -23,25 +24,9 @@ type ThroughputRow struct {
 
 // Throughput runs the ablation at 4 cores, one worker item per kernel.
 func Throughput(r *Runner) ([]ThroughputRow, error) {
-	ks := kernels.All()
-	rows := make([]ThroughputRow, len(ks))
-	err := r.each(len(ks), func(i int) error {
-		k := ks[i]
-		base, _, _, err := r.Speedup(k, Variant{Cores: 4}, nil)
-		if err != nil {
-			return err
-		}
-		thr, _, _, err := r.Speedup(k, Variant{Cores: 4, Throughput: true}, nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = ThroughputRow{k.Name, base, thr}
-		return nil
+	return variantRows(r, Variant{Cores: 4, Throughput: true}, func(k *kernels.Kernel, base, thr float64, _, _ *core.Artifact) ThroughputRow {
+		return ThroughputRow{k.Name, base, thr}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatThroughput renders the ablation.
@@ -82,31 +67,15 @@ type MultiPairRow struct {
 // MultiPair runs the compile-time variant ablation at 4 cores, one worker
 // item per kernel.
 func MultiPair(r *Runner) ([]MultiPairRow, error) {
-	ks := kernels.All()
-	rows := make([]MultiPairRow, len(ks))
-	err := r.each(len(ks), func(i int) error {
-		k := ks[i]
-		base, _, ab, err := r.Speedup(k, Variant{Cores: 4}, nil)
-		if err != nil {
-			return err
-		}
-		multi, _, am, err := r.Speedup(k, Variant{Cores: 4, MultiPair: true}, nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = MultiPairRow{
+	return variantRows(r, Variant{Cores: 4, MultiPair: true}, func(k *kernels.Kernel, base, multi float64, ab, am *core.Artifact) MultiPairRow {
+		return MultiPairRow{
 			Name:            k.Name,
 			BaseSteps:       ab.Report.MergeSteps,
 			MultiSteps:      am.Report.MergeSteps,
 			BaseSpeedup:     base,
 			MultiPairResult: multi,
 		}
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatMultiPair renders the variant comparison.
@@ -202,25 +171,9 @@ type ScheduleRow struct {
 // Schedule runs the scheduling ablation at 4 cores, one worker item per
 // kernel.
 func Schedule(r *Runner) ([]ScheduleRow, error) {
-	ks := kernels.All()
-	rows := make([]ScheduleRow, len(ks))
-	err := r.each(len(ks), func(i int) error {
-		k := ks[i]
-		base, _, _, err := r.Speedup(k, Variant{Cores: 4}, nil)
-		if err != nil {
-			return err
-		}
-		sched, _, _, err := r.Speedup(k, Variant{Cores: 4, Schedule: true}, nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = ScheduleRow{k.Name, base, sched}
-		return nil
+	return variantRows(r, Variant{Cores: 4, Schedule: true}, func(k *kernels.Kernel, base, sched float64, _, _ *core.Artifact) ScheduleRow {
+		return ScheduleRow{k.Name, base, sched}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatSchedule renders the ablation.
@@ -254,31 +207,15 @@ type NormalizeRow struct {
 // Normalize runs the tree-splitting ablation at 4 cores, one worker item
 // per kernel.
 func Normalize(r *Runner) ([]NormalizeRow, error) {
-	ks := kernels.All()
-	rows := make([]NormalizeRow, len(ks))
-	err := r.each(len(ks), func(i int) error {
-		k := ks[i]
-		base, _, ab, err := r.Speedup(k, Variant{Cores: 4}, nil)
-		if err != nil {
-			return err
-		}
-		norm, _, an, err := r.Speedup(k, Variant{Cores: 4, NormalizeOps: 4}, nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = NormalizeRow{
+	return variantRows(r, Variant{Cores: 4, NormalizeOps: 4}, func(k *kernels.Kernel, base, norm float64, ab, an *core.Artifact) NormalizeRow {
+		return NormalizeRow{
 			Name:       k.Name,
 			Fibers:     ab.Report.InitialFibers,
 			FibersNorm: an.Report.InitialFibers,
 			Base:       base,
 			Normalized: norm,
 		}
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatNormalize renders the ablation.

@@ -127,8 +127,8 @@ func (r *Runner) Cache() *artcache.Cache { return r.cache }
 func (r *Runner) SetWorkers(n int) { r.workers = n }
 
 // SetEngine routes every simulation this runner launches — main runs,
-// sequential baselines, and compile-time profiling runs — through the named
-// sim engine ("" or sim.EngineThreaded for the default,
+// sequential baselines, profiling runs and search candidates' scoring runs
+// — through the named sim engine ("" or sim.EngineThreaded for the default,
 // sim.EngineReference). Results are bit-identical across engines; only host
 // time changes. Call before launching experiments, not concurrently with
 // them.
@@ -211,21 +211,17 @@ func (r *Runner) ArtifactContext(ctx context.Context, k *kernels.Kernel, opt cor
 	return v.(*core.Artifact), addr, hit, nil
 }
 
-// compile runs one artifact fill on the loop's cached front. A reference
-// runner profiles inside the compile on the reference engine, so it
-// simulates nothing on the threaded engine (the honest baseline for
-// host-speed comparisons, matching the one profiling run per compilation
-// of the original implementation); any other runner shares one cached
-// profile across the core counts of a variant. Fills run from the
-// runner's pool or an fgpd request's slot, so a searched fill scores its
-// candidates serially.
+// compile runs one artifact fill on the loop's cached front and cached
+// profile, which the profile fill measured on the runner's engine. The
+// compile machine carries that engine too, so a searched fill scores its
+// candidates on it, one at a time: fills run from the runner's pool or an
+// fgpd request's slot.
 func (r *Runner) compile(ctx context.Context, k *kernels.Kernel, opt core.Options) (*core.Artifact, error) {
 	opt.SearchWorkers = 1
-	if r.engine == sim.EngineReference {
-		mc := *opt.Machine
-		mc.Engine = sim.EngineReference
-		opt.Machine = &mc
-	} else if opt.UseProfile {
+	mc := *opt.Machine
+	mc.Engine = r.engine
+	opt.Machine = &mc
+	if opt.UseProfile {
 		p, err := r.profile(ctx, k, opt)
 		if err != nil {
 			return nil, err
@@ -329,10 +325,11 @@ func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim
 }
 
 // Simulate resolves the result of running the artifact a, whose address
-// ArtifactContext returned as addr, on cfg. Results are memoized under
+// ArtifactContext returned as addr, on cfg, and on the runner's engine
+// when cfg names none. Results are memoized under
 // sha256(core.CanonicalRun(cfg) ‖ 0 ‖ addr): a Result depends only on the
 // artifact and the run levers, and every engine returns a bit-identical
-// one, so cfg.Engine only picks the engine a miss runs on. A recorded run
+// one, so the engine only picks what a miss runs on. A recorded run
 // (cfg.Sink set) bypasses the memo, since its output is the event
 // stream. hit reports whether an existing result served the call. The
 // Result may be shared with other callers and must not be modified. The
@@ -344,6 +341,9 @@ func (r *Runner) SeqCyclesContext(ctx context.Context, k *kernels.Kernel, mc sim
 // evicted, and a concurrent requester whose own ctx is live simulates
 // afresh.
 func (r *Runner) Simulate(ctx context.Context, a *core.Artifact, addr string, cfg sim.Config) (res *sim.Result, hit bool, err error) {
+	if cfg.Engine == "" {
+		cfg.Engine = r.engine
+	}
 	if cfg.Sink != nil {
 		res, err = a.RunContext(ctx, cfg)
 		return res, false, err
@@ -390,7 +390,6 @@ func (r *Runner) Speedup(k *kernels.Kernel, v Variant, mod func(*sim.Config)) (f
 		return 0, nil, nil, err
 	}
 	cfg := a.MachineConfig()
-	cfg.Engine = r.engine
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -399,4 +398,29 @@ func (r *Runner) Speedup(k *kernels.Kernel, v Variant, mod func(*sim.Config)) (f
 		return 0, nil, nil, fmt.Errorf("experiments: run %s: %w", k.Name, err)
 	}
 	return float64(seq) / float64(res.Cycles), res, a, nil
+}
+
+// variantRows runs the loop Fig 14 and the Section III ablations share:
+// every kernel at 4 cores under the default options and then under v, one
+// worker item per kernel. row maps a kernel's two speedups and artifacts to
+// its row; rows come back in kernel order.
+func variantRows[R any](r *Runner, v Variant, row func(k *kernels.Kernel, base, alt float64, baseArt, altArt *core.Artifact) R) ([]R, error) {
+	ks := kernels.All()
+	rows := make([]R, len(ks))
+	err := r.each(len(ks), func(i int) error {
+		base, _, ab, err := r.Speedup(ks[i], Variant{Cores: 4}, nil)
+		if err != nil {
+			return err
+		}
+		alt, _, aa, err := r.Speedup(ks[i], v, nil)
+		if err != nil {
+			return err
+		}
+		rows[i] = row(ks[i], base, alt, ab, aa)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fgp/internal/core"
 	"fgp/internal/kernels"
 	"fgp/internal/sim"
 )
@@ -156,25 +157,9 @@ type Fig14Row struct {
 
 // Fig14 regenerates Figure 14, one worker item per kernel.
 func Fig14(r *Runner) ([]Fig14Row, error) {
-	ks := kernels.All()
-	rows := make([]Fig14Row, len(ks))
-	err := r.each(len(ks), func(i int) error {
-		k := ks[i]
-		base, _, _, err := r.Speedup(k, Variant{Cores: 4}, nil)
-		if err != nil {
-			return fmt.Errorf("fig14: %s: %w", k.Name, err)
-		}
-		spec, _, art, err := r.Speedup(k, Variant{Cores: 4, Speculate: true}, nil)
-		if err != nil {
-			return fmt.Errorf("fig14: %s (speculated): %w", k.Name, err)
-		}
-		rows[i] = Fig14Row{Name: k.Name, Base: base, Speculated: spec, SpeculatedIfs: art.Report.SpeculatedIfs}
-		return nil
+	return variantRows(r, Variant{Cores: 4, Speculate: true}, func(k *kernels.Kernel, base, spec float64, _, as *core.Artifact) Fig14Row {
+		return Fig14Row{Name: k.Name, Base: base, Speculated: spec, SpeculatedIfs: as.Report.SpeculatedIfs}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatFig14 renders the speculation comparison.

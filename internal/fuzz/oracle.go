@@ -5,13 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"fgp/internal/core"
 	"fgp/internal/frontend"
 	"fgp/internal/interp"
 	"fgp/internal/ir"
-	"fgp/internal/mem"
 	"fgp/internal/obs"
 	"fgp/internal/outline"
 	"fgp/internal/sim"
@@ -116,16 +114,6 @@ func roundTrip(l *ir.Loop) string {
 	return ""
 }
 
-// isTrap reports whether err is a semantic trap (division by zero or an
-// out-of-bounds access) as opposed to an infrastructure failure such as a
-// deadlock or FIFO mismatch. Traps are legitimate program outcomes the
-// compiled code must reproduce; anything else failing is always a bug.
-func isTrap(err error) bool {
-	return errors.Is(err, interp.ErrDivByZero) ||
-		errors.Is(err, interp.ErrOutOfBounds) ||
-		errors.Is(err, mem.ErrOutOfBounds)
-}
-
 // Check runs the differential oracle for one loop. It returns nil when
 // every configuration in the matrix reproduces the interpreter bit-exactly
 // and all metamorphic invariants hold, and a *Mismatch otherwise.
@@ -141,7 +129,7 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 	}
 
 	ref, rerr := interp.Run(l)
-	if rerr != nil && !isTrap(rerr) {
+	if rerr != nil && !core.IsTrap(rerr) {
 		return &Mismatch{Kernel: l.Name, Stage: "run",
 			Detail: fmt.Sprintf("interpreter failed non-trap: %v", rerr)}
 	}
@@ -163,7 +151,7 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 				// A trapping kernel traps during profiling too — that is the
 				// expected outcome, not a mismatch; compile without profile
 				// feedback and still require every simulation to trap.
-				if rerr == nil || !isTrap(perr) {
+				if rerr == nil || !core.IsTrap(perr) {
 					return &Mismatch{Kernel: l.Name, Cores: 1, Spec: spec, Norm: norm,
 						Stage: "compile", Detail: fmt.Sprintf("profiling run: %v", perr)}
 				}
@@ -191,31 +179,10 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 					return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
 						Stage: stage, Detail: cerr.Error()}
 				}
-				results := map[string]*sim.Result{}
-				var refRec *obs.Recorder
-				for _, eng := range sim.Engines() {
-					res, rec, err := checkRun(l, art, ref, rerr, eng)
-					if err != nil {
-						m := err.(*Mismatch)
-						m.Cores, m.Spec, m.Norm, m.Engine = cores, spec, norm, eng
-						return m
-					}
-					results[eng] = res
-					if rec != nil {
-						refRec = rec
-					}
-				}
-				thrRes, refRes := results[sim.EngineThreaded], results[sim.EngineReference]
-				// Invariant: the threaded engine is bit-identical to the
-				// reference scheduler — full counter equality, not just the
-				// headline cycle count, so relaxed-order scheduling cannot
-				// hide behind matching totals.
-				if thrRes != nil && refRes != nil {
-					if d := diffResults(thrRes, refRes); d != "" {
-						return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
-							Engine: sim.EngineThreaded, Stage: "invariant",
-							Detail: fmt.Sprintf("diverges from reference: %s", d)}
-					}
+				thrRes, refRes, refRec, m := checkEngines(l, art, ref, rerr)
+				if m != nil {
+					m.Cores, m.Spec, m.Norm = cores, spec, norm
+					return m
 				}
 				// Invariant: the per-cause stall windows of the recorded
 				// event stream sum exactly to the aggregate queue-stall
@@ -256,9 +223,8 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 				// run take the warm path). One configuration per kernel keeps
 				// the cost bounded.
 				if !oc.SkipRepeat && cores == oc.MaxCores && !spec && norm == 0 && thrRes != nil {
-					res2, _, err := checkRun(l, art, ref, rerr, sim.EngineThreaded)
-					if err != nil {
-						m := err.(*Mismatch)
+					res2, _, m := checkRun(l, art, ref, rerr, sim.EngineThreaded)
+					if m != nil {
 						m.Cores, m.Spec, m.Norm, m.Engine = cores, spec, norm, sim.EngineThreaded
 						m.Stage = "invariant"
 						m.Detail = "repeat run: " + m.Detail
@@ -302,25 +268,40 @@ func checkSearch(l *ir.Loop, compiled *ir.Loop, ref *interp.Result, rerr error, 
 			Detail: fmt.Sprintf("search partitioner worse than heuristic: %d > %d cycles",
 				art.Report.SearchCycles, art.Report.SearchBaselineCycles)}
 	}
-	results := map[string]*sim.Result{}
-	for _, eng := range sim.Engines() {
-		res, _, err := checkRun(l, art, ref, rerr, eng)
-		if err != nil {
-			m := err.(*Mismatch)
-			m.Engine = eng
-			m.Detail = "search partitioner: " + m.Detail
-			return m
-		}
-		results[eng] = res
-	}
-	thrRes, refRes := results[sim.EngineThreaded], results[sim.EngineReference]
-	if thrRes != nil && refRes != nil {
-		if d := diffResults(thrRes, refRes); d != "" {
-			return &Mismatch{Kernel: l.Name, Engine: sim.EngineThreaded, Stage: "invariant",
-				Detail: "search partitioner diverges from reference: " + d}
-		}
+	if _, _, _, m := checkEngines(l, art, ref, rerr); m != nil {
+		m.Detail = "search partitioner: " + m.Detail
+		return m
 	}
 	return nil
+}
+
+// checkEngines runs the artifact on every engine through checkRun and
+// requires the threaded engine's result to be bit-identical to the
+// reference scheduler's: full counter equality, not just the headline
+// cycle count, so relaxed-order scheduling cannot hide behind matching
+// totals. It returns both results (nil when the interpreter trapped) and
+// the reference run's recording, or a *Mismatch naming the engine.
+func checkEngines(l *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error) (thr, refRes *sim.Result, rec *obs.Recorder, m *Mismatch) {
+	for _, eng := range sim.Engines() {
+		res, r, bad := checkRun(l, art, ref, rerr, eng)
+		if bad != nil {
+			bad.Engine = eng
+			return nil, nil, nil, bad
+		}
+		switch eng {
+		case sim.EngineThreaded:
+			thr = res
+		case sim.EngineReference:
+			refRes, rec = res, r
+		}
+	}
+	if thr != nil && refRes != nil {
+		if d := diffResults(thr, refRes); d != "" {
+			return nil, nil, nil, &Mismatch{Kernel: l.Name, Engine: sim.EngineThreaded, Stage: "invariant",
+				Detail: "diverges from reference: " + d}
+		}
+	}
+	return thr, refRes, rec, nil
 }
 
 // checkStalls enforces the observability invariant on one kernel's
@@ -387,15 +368,15 @@ func diffResults(got, want *sim.Result) string {
 }
 
 // checkRun simulates the artifact on one engine and compares the final
-// memory image and live-outs against the interpreter result. When the
-// interpreter trapped (rerr != nil), the simulation must also trap and the
-// value comparison is skipped. The returned error is always a *Mismatch.
+// memory image and live-outs against the interpreter result with
+// core.CheckOutcome. When the interpreter trapped (rerr != nil), the
+// simulation must also trap and the value comparison is skipped.
 //
 // Only the reference leg records the event stream: a recorded threaded run
 // goes to the reference scheduler by construction, which would leave the
 // fused-block runtime unexercised, so the threaded leg runs unrecorded and
 // its recorder is nil.
-func checkRun(src *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error, engine string) (*sim.Result, *obs.Recorder, error) {
+func checkRun(src *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error, engine string) (*sim.Result, *obs.Recorder, *Mismatch) {
 	cfg := art.MachineConfig()
 	cfg.DebugEdges = true
 	cfg.Engine = engine
@@ -416,7 +397,7 @@ func checkRun(src *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error, 
 			return nil, nil, &Mismatch{Kernel: src.Name, Stage: "run",
 				Detail: fmt.Sprintf("interpreter trapped (%v) but simulation completed", rerr)}
 		}
-		if !isTrap(err) {
+		if !core.IsTrap(err) {
 			return nil, nil, &Mismatch{Kernel: src.Name, Stage: "run",
 				Detail: fmt.Sprintf("interpreter trapped (%v) but simulation failed differently: %v", rerr, err)}
 		}
@@ -425,62 +406,14 @@ func checkRun(src *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error, 
 	if err != nil {
 		return nil, nil, &Mismatch{Kernel: src.Name, Stage: "run", Detail: err.Error()}
 	}
-	for _, arr := range src.Arrays {
-		if arr.K == ir.F64 {
-			got, want := img.SnapshotF(arr.Name), ref.ArraysF[arr.Name]
-			for i := range want {
-				if !sameF64(got[i], want[i]) {
-					return nil, nil, &Mismatch{Kernel: src.Name, Stage: "memory",
-						Detail: fmt.Sprintf("%s[%d] = %v, want %v", arr.Name, i, got[i], want[i])}
-				}
-			}
-		} else {
-			got, want := img.SnapshotI(arr.Name), ref.ArraysI[arr.Name]
-			for i := range want {
-				if got[i] != want[i] {
-					return nil, nil, &Mismatch{Kernel: src.Name, Stage: "memory",
-						Detail: fmt.Sprintf("%s[%d] = %d, want %d", arr.Name, i, got[i], want[i])}
-				}
-			}
+	if err := core.CheckOutcome(src, img, res.LiveOut, ref, true); err != nil {
+		stage := "memory"
+		if err.(*core.Divergence).LiveOut {
+			stage = "liveout"
 		}
-	}
-	for _, name := range src.LiveOut {
-		got, ok := res.LiveOut[name]
-		if !ok {
-			return nil, nil, &Mismatch{Kernel: src.Name, Stage: "liveout",
-				Detail: fmt.Sprintf("%q missing from simulation result", name)}
-		}
-		want, ok := ref.Temps[name]
-		if !ok {
-			return nil, nil, &Mismatch{Kernel: src.Name, Stage: "liveout",
-				Detail: fmt.Sprintf("%q missing from interpreter result", name)}
-		}
-		if !sameValue(got, want) {
-			return nil, nil, &Mismatch{Kernel: src.Name, Stage: "liveout",
-				Detail: fmt.Sprintf("%q = %+v, want %+v", name, got, want)}
-		}
+		return nil, nil, &Mismatch{Kernel: src.Name, Stage: stage, Detail: err.Error()}
 	}
 	return res, rec, nil
-}
-
-// sameF64 is bit-exact float equality except that any NaN matches any NaN:
-// both paths execute the identical Go arithmetic, so payloads agree in
-// practice, but the oracle does not depend on NaN bit patterns.
-func sameF64(a, b float64) bool {
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return true
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-func sameValue(a, b interp.Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	if a.K == ir.F64 {
-		return sameF64(a.F, b.F)
-	}
-	return a.I == b.I
 }
 
 // InjectMiscompile returns a copy of the loop with the first additive

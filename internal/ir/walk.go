@@ -61,16 +61,6 @@ func CountStmts(stmts []Stmt) int {
 	return n
 }
 
-// CountLoopOps returns the total number of compute operations across every
-// expression of the loop body (RHSes, store indices, branch conditions).
-func CountLoopOps(l *Loop) int {
-	n := 0
-	WalkStmts(l.Body, func(s Stmt) {
-		StmtExprs(s, func(e Expr) { n += CountOps(e) })
-	})
-	return n
-}
-
 // CountOps returns the number of compute operations (internal nodes,
 // excluding loads) in the expression tree.
 func CountOps(e Expr) int {

@@ -21,7 +21,9 @@
 // scores partitions on the machine it compiles for, so a searched sweep
 // compiles one artifact per (cores, queue, latency) cell — 30 for the
 // default grid instead of 5 — and each point reads what fgpd's /v1/run
-// reads for the same levers.
+// reads for the same levers. Every point simulates on its own machine,
+// Point.Config, and on the experiments Runner's engine (Runner.SetEngine):
+// a sweep has no engine option of its own.
 package machspace
 
 import (

@@ -69,9 +69,6 @@ type Options struct {
 	Partitioner  string
 	SearchSeed   int64
 	SearchBudget int
-	// Engine routes every simulation through the named sim engine ("" =
-	// the threaded default). Results are bit-identical across engines.
-	Engine string
 }
 
 // PointResult is one cell of the surface. Exactly one of (Cycles > 0) and
@@ -156,8 +153,8 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 			return ctx.Err()
 		}
 
-		// Compile-relevant levers address the artifact; the rest are
-		// applied to the machine configuration below. The search scores
+		// Compile-relevant levers address the artifact; the point
+		// simulates on its whole machine, p.Config(). The search scores
 		// its candidates on the compile machine, so that machine carries
 		// the point's transfer latency; the heuristic's address drops it.
 		copt := experiments.Variant{
@@ -179,15 +176,7 @@ func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid
 			return nil
 		}
 
-		cfg := a.MachineConfig()
-		cfg.TransferLatency = p.TransferLatency
-		cfg.Cost.Enq = p.EnqCost
-		cfg.Cost.Deq = p.DeqCost
-		cfg.Cache.Lines = p.L1Lines
-		cfg.Cost.L1Hit = p.L1Hit
-		cfg.Cost.L1Miss = p.L1Miss
-		cfg.Engine = opt.Engine
-		res, _, err := r.Simulate(ctx, a, addr, cfg)
+		res, _, err := r.Simulate(ctx, a, addr, p.Config())
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

@@ -130,16 +130,6 @@ type Meta struct {
 	RegionNames map[int32]string
 }
 
-// QueueByID returns the metadata for one queue id, or nil.
-func (m *Meta) QueueByID(id int32) *QueueMeta {
-	for i := range m.Queues {
-		if m.Queues[i].ID == id {
-			return &m.Queues[i]
-		}
-	}
-	return nil
-}
-
 // RegionName returns the display name of a region id.
 func (m *Meta) RegionName(r int32) string {
 	if n, ok := m.RegionNames[r]; ok {

@@ -69,7 +69,9 @@ type Options struct {
 	// Beam is the beam width of the first phase (0 selects DefaultBeam).
 	Beam int
 	// Workers bounds concurrent objective evaluations (<= 1 is serial).
-	// It cannot change the search outcome, only host time.
+	// Refine starts that many scoring goroutines once, at most Budget, and
+	// stops them before it returns. It cannot change the search outcome,
+	// only host time.
 	Workers int
 	// Observer, when set, is called for every candidate the explorer
 	// evaluates — seed included, winners and losers alike — with the
@@ -132,6 +134,11 @@ type problem struct {
 	explored, rejected int
 	best               *state
 	observer           func(*state)
+
+	// jobs feeds the scoring goroutines startWorkers starts (nil when
+	// serial); batch counts the candidates of eval's batch still scoring.
+	jobs  chan *state
+	batch sync.WaitGroup
 }
 
 // Refine explores partitions of the analyzed function around the heuristic
@@ -159,6 +166,10 @@ func Refine(ctx context.Context, info *deps.Info, seed *codegraph.Result, fiberC
 	p.buildUnits(info, seed, fiberCost)
 	if opt.Observer != nil {
 		p.observer = func(st *state) { opt.Observer(st.res, st.cycles, st.err) }
+	}
+
+	if opt.Workers > 1 {
+		defer p.startWorkers(ctx)()
 	}
 
 	seedSt := p.fromParts(seed)
@@ -573,35 +584,44 @@ func (p *problem) randomMove(rng *rand.Rand, st *state) *state {
 	return p.propose(st, func(a []int32) { a[u], a[v] = a[v], a[u] })
 }
 
-// eval scores candidates with the objective, Workers at a time. Observer
-// callbacks and all bookkeeping happen on the calling goroutine in slice
-// order after every score is in.
-func (p *problem) eval(ctx context.Context, cands []*state) error {
-	workers := p.opt.Workers
-	if workers > len(cands) {
-		workers = len(cands)
+// startWorkers starts the scoring goroutines, min(Workers, Budget) of
+// them, for the whole Refine. It returns the function that stops them and
+// waits until they have exited.
+func (p *problem) startWorkers(ctx context.Context) func() {
+	p.jobs = make(chan *state)
+	var wg sync.WaitGroup
+	n := min(p.opt.Workers, p.opt.Budget)
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			for st := range p.jobs {
+				st.cycles, st.err = p.obj(ctx, st.res)
+				p.batch.Done()
+			}
+		}()
 	}
-	if workers <= 1 {
+	return func() {
+		close(p.jobs)
+		wg.Wait()
+	}
+}
+
+// eval scores candidates with the objective: a batch of two or more on the
+// scoring goroutines, Workers at a time, and otherwise on the calling
+// goroutine. Observer callbacks and all bookkeeping happen on the calling
+// goroutine in slice order after every score is in.
+func (p *problem) eval(ctx context.Context, cands []*state) error {
+	if p.jobs == nil || len(cands) < 2 {
 		for _, st := range cands {
 			st.cycles, st.err = p.obj(ctx, st.res)
 		}
 	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					cands[i].cycles, cands[i].err = p.obj(ctx, cands[i].res)
-				}
-			}()
+		p.batch.Add(len(cands))
+		for _, st := range cands {
+			p.jobs <- st
 		}
-		for i := range cands {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+		p.batch.Wait()
 	}
 	for _, st := range cands {
 		p.explored++

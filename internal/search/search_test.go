@@ -11,6 +11,8 @@ package search_test
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -411,6 +413,71 @@ func TestSeedScoredFirstAndAlone(t *testing.T) {
 		if firstKey != p.seed.CanonicalKey() || overlapped || calls < 2 {
 			t.Errorf("workers=%d: first call scored %q (seed %q), another call started before it returned: %v, %d calls",
 				workers, firstKey, p.seed.CanonicalKey(), overlapped, calls)
+		}
+	}
+}
+
+// TestRefineStopsItsWorkers: at Workers 4, the scoring goroutines Refine
+// starts have all exited when it returns, on every return path: a full
+// search, a seed the objective cannot score, an objective error under a
+// cancelled context, and a context cancelled between batches.
+func TestRefineStopsItsWorkers(t *testing.T) {
+	k, err := kernels.ByName("umt2k-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := lowerKernel(t, k.Build(), 4)
+	score := p.objective()
+	unscorable := errors.New("unscorable")
+	for _, c := range []struct {
+		name string
+		// obj wraps the real objective; call counts calls from 1.
+		obj     func(ctx context.Context, cancel func(), call int, cand *codegraph.Result) (int64, error)
+		wantErr bool
+	}{
+		{"full search", func(ctx context.Context, _ func(), _ int, cand *codegraph.Result) (int64, error) {
+			return score(ctx, cand)
+		}, false},
+		{"unscorable seed", func(context.Context, func(), int, *codegraph.Result) (int64, error) {
+			return 0, unscorable
+		}, true},
+		{"objective error", func(ctx context.Context, cancel func(), call int, cand *codegraph.Result) (int64, error) {
+			if call == 2 {
+				cancel()
+				return 0, ctx.Err()
+			}
+			return score(ctx, cand)
+		}, true},
+		{"cancelled between batches", func(ctx context.Context, cancel func(), call int, cand *codegraph.Result) (int64, error) {
+			if call == 1 {
+				defer cancel()
+			}
+			return score(ctx, cand)
+		}, true},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var mu sync.Mutex
+		calls, peak := 0, 0
+		obj := func(ctx context.Context, cand *codegraph.Result) (int64, error) {
+			mu.Lock()
+			calls++
+			call := calls
+			peak = max(peak, runtime.NumGoroutine())
+			mu.Unlock()
+			return c.obj(ctx, cancel, call, cand)
+		}
+		before := runtime.NumGoroutine()
+		_, err := search.Refine(ctx, p.info, p.seed, p.fiberCost, obj, search.Options{Seed: 3, Budget: 24, Workers: 4})
+		after := runtime.NumGoroutine()
+		cancel()
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s: Refine returned %v, want an error: %v", c.name, err, c.wantErr)
+		}
+		if peak < before+4 {
+			t.Errorf("%s: %d goroutines while scoring, %d before: the workers never started", c.name, peak, before)
+		}
+		if after != before {
+			t.Errorf("%s: %d goroutines after Refine returned, %d before", c.name, after, before)
 		}
 	}
 }

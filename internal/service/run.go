@@ -19,10 +19,8 @@ import (
 	"fgp/internal/core"
 	"fgp/internal/experiments"
 	"fgp/internal/frontend"
-	"fgp/internal/interp"
 	"fgp/internal/ir"
 	"fgp/internal/kernels"
-	"fgp/internal/mem"
 	"fgp/internal/obs"
 	"fgp/internal/sim"
 	"fgp/internal/verify"
@@ -321,7 +319,9 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	cfg.Engine = req.Engine
 	var rec *obs.Recorder
 	if req.Attribution || req.Trace != "" {
-		rec = obs.NewRecorder()
+		// A text trace prints retire lines only, so on its own it records
+		// only the retires.
+		rec = &obs.Recorder{RetiresOnly: req.Trace == "text" && !req.Attribution}
 		cfg.Sink = rec
 	}
 	simStart := time.Now()
@@ -409,10 +409,7 @@ func (s *Server) runError(stage string, err error) *apiError {
 	case errors.As(err, &pe):
 		s.met.errors.Add(1)
 		return apiErrorf(http.StatusBadRequest, "%s", boundMsg(stage+": "+pe.Error()))
-	case errors.Is(err, sim.ErrDeadlock),
-		errors.Is(err, interp.ErrDivByZero),
-		errors.Is(err, interp.ErrOutOfBounds),
-		errors.Is(err, mem.ErrOutOfBounds):
+	case errors.Is(err, sim.ErrDeadlock), core.IsTrap(err):
 		s.met.errors.Add(1)
 		return apiErrorf(http.StatusUnprocessableEntity, "%s", boundMsg(stage+": "+err.Error()))
 	default:
