@@ -26,6 +26,7 @@ import (
 	"fgp/internal/frontend"
 	"fgp/internal/ir"
 	"fgp/internal/kernels"
+	"fgp/internal/sim"
 )
 
 func main() {
@@ -64,8 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fgpc:", err)
 		return 1
 	}
-	if !slices.Contains(core.Partitioners(), *partitioner) {
-		return usage("unknown partitioner %q (have %v)", *partitioner, core.Partitioners())
+	if err := core.CheckPartitioner(*partitioner); err != nil {
+		return usage("%v", err)
+	}
+	switch {
+	case *cores < 1 || *cores > sim.MaxCores:
+		return usage("-cores must be in [1, %d] (got %d)", sim.MaxCores, *cores)
+	case *searchBudget < 0:
+		return usage("-search-budget must be >= 0, 0 meaning the default (got %d)", *searchBudget)
 	}
 	wants := map[string]bool{}
 	for _, d := range strings.Split(*dump, ",") {

@@ -79,6 +79,10 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"-kernel", "nope-1", "-dump", "bogus"}, `unknown dump "bogus" (have ir, tac, fibers, parts, report, asm)`},
 		{[]string{"-kernel", "nope-1", "-dump", "report,bogus"}, `unknown dump "bogus"`},
 		{[]string{"-kernel", "nope-1", "-partitioner", "bogus"}, `unknown partitioner "bogus" (have [heuristic search])`},
+		{[]string{"-kernel", "sphot-1", "-cores", "0"}, "-cores must be in [1, 181] (got 0)"},
+		{[]string{"-kernel", "sphot-1", "-cores", "182"}, "-cores must be in [1, 181] (got 182)"},
+		{[]string{"-kernel", "sphot-1", "-partitioner", "search", "-search-budget", "-1"},
+			"-search-budget must be >= 0, 0 meaning the default (got -1)"},
 	} {
 		out.Reset()
 		errb.Reset()

@@ -209,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			if err != nil {
 				return "", nil, err
 			}
-			rows, err := experiments.Attribution(r, *traceKernel, cc)
+			rows, err := experiments.Attribution(context.Background(), r, *traceKernel, cc)
 			if err != nil {
 				return "", nil, err
 			}
@@ -250,11 +250,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if !slices.Contains(names, *exp) {
 		return usage("unknown experiment %q (have %s)", *exp, strings.Join(names, ", "))
 	}
-	if *engine != "" && !slices.Contains(sim.Engines(), *engine) {
-		return usage("unknown engine %q (have %v)", *engine, sim.Engines())
-	}
-	if !slices.Contains(strings.Split(obs.TraceFormats, ", "), *traceFormat) {
-		return usage("unknown trace format %q (have %s)", *traceFormat, obs.TraceFormats)
+	for _, err := range []error{sim.CheckEngine(*engine), obs.CheckTraceFormat(*traceFormat)} {
+		if err != nil {
+			return usage("%v", err)
+		}
 	}
 	var err error
 	if latencies, err = parseInt64s(*lats); err != nil {

@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	"fgp/internal/core"
 	"fgp/internal/frontend"
@@ -66,14 +64,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fgprun: "+format+"\n", args...)
 		return 2
 	}
-	if *engine != "" && !slices.Contains(sim.Engines(), *engine) {
-		return usage("unknown engine %q (have %v)", *engine, sim.Engines())
+	for _, err := range []error{sim.CheckEngine(*engine), core.CheckPartitioner(*partitioner), obs.CheckTraceFormat(*traceFormat)} {
+		if err != nil {
+			return usage("%v", err)
+		}
 	}
-	if !slices.Contains(core.Partitioners(), *partitioner) {
-		return usage("unknown partitioner %q (have %v)", *partitioner, core.Partitioners())
-	}
-	if !slices.Contains(strings.Split(obs.TraceFormats, ", "), *traceFormat) {
-		return usage("unknown trace format %q (have %s)", *traceFormat, obs.TraceFormats)
+	switch {
+	case *cores < 1 || *cores > sim.MaxCores:
+		return usage("-cores must be in [1, %d] (got %d)", sim.MaxCores, *cores)
+	case *queueLen < 1 || *queueLen > sim.MaxQueueLen:
+		return usage("-queue must be in [1, %d] (got %d)", sim.MaxQueueLen, *queueLen)
+	case *latency < 0:
+		return usage("-latency must be >= 0 (got %d)", *latency)
+	case *trace < 0:
+		return usage("-trace must be >= 0 (got %d)", *trace)
+	case *searchBudget < 0:
+		return usage("-search-budget must be >= 0, 0 meaning the default (got %d)", *searchBudget)
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fgprun:", err)

@@ -74,6 +74,15 @@ func TestRunBadInvocations(t *testing.T) {
 			`unknown partitioner "bogus" (have [heuristic search])`, 2},
 		{"unknown trace format", []string{"-kernel", "nope-1", "-trace-format", "bogus"},
 			`unknown trace format "bogus" (have text, perfetto, report)`, 2},
+		// Numeric flags are checked before anything compiles too.
+		{"zero cores", []string{"-kernel", "sphot-1", "-cores", "0"}, "-cores must be in [1, 181] (got 0)", 2},
+		{"too many cores", []string{"-kernel", "sphot-1", "-cores", "100000"}, "-cores must be in [1, 181] (got 100000)", 2},
+		{"zero queue", []string{"-kernel", "sphot-1", "-queue", "0"}, "-queue must be in [1, 4096] (got 0)", 2},
+		{"long queue", []string{"-kernel", "sphot-1", "-queue", "4097"}, "-queue must be in [1, 4096] (got 4097)", 2},
+		{"negative latency", []string{"-kernel", "sphot-1", "-latency", "-1"}, "-latency must be >= 0 (got -1)", 2},
+		{"negative trace", []string{"-kernel", "sphot-1", "-trace", "-1"}, "-trace must be >= 0 (got -1)", 2},
+		{"negative search budget", []string{"-kernel", "sphot-1", "-search-budget", "-1"},
+			"-search-budget must be >= 0, 0 meaning the default (got -1)", 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

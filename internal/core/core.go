@@ -113,8 +113,15 @@ const (
 	PartitionerSearch    = "search"
 )
 
-// Partitioners lists the selectable partitioners, default first.
-func Partitioners() []string { return []string{PartitionerHeuristic, PartitionerSearch} }
+// CheckPartitioner rejects a name Options.Partitioner does not accept ("" is
+// the heuristic), with the error every entry point prints.
+func CheckPartitioner(name string) error {
+	switch name {
+	case "", PartitionerHeuristic, PartitionerSearch:
+		return nil
+	}
+	return fmt.Errorf("unknown partitioner %q (have [%s %s])", name, PartitionerHeuristic, PartitionerSearch)
+}
 
 // DefaultOptions returns the configuration used for the paper's main
 // results: profile feedback on; speculation and the throughput heuristic
@@ -257,10 +264,8 @@ func check(opt Options) (sim.Config, error) {
 	if opt.Cores < 1 {
 		return sim.Config{}, fmt.Errorf("core: cores must be >= 1")
 	}
-	switch opt.Partitioner {
-	case "", PartitionerHeuristic, PartitionerSearch:
-	default:
-		return sim.Config{}, fmt.Errorf("core: unknown partitioner %q (have %v)", opt.Partitioner, Partitioners())
+	if err := CheckPartitioner(opt.Partitioner); err != nil {
+		return sim.Config{}, fmt.Errorf("core: %w", err)
 	}
 	mc := machineFor(opt)
 	// Degenerate sweep points (see internal/machspace) must fail with the

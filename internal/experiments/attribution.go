@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -32,8 +33,10 @@ type AttributionRow struct {
 
 // Attribution records one kernel at each core count and builds its stall
 // attribution. Rows come back in coreCounts order regardless of worker
-// scheduling.
-func Attribution(r *Runner, name string, coreCounts []int) ([]AttributionRow, error) {
+// scheduling. Every row resolves its baseline and artifact and runs its
+// recorded simulation under ctx, so a caller that gives up stops the
+// experiment within one cancellation stride.
+func Attribution(ctx context.Context, r *Runner, name string, coreCounts []int) ([]AttributionRow, error) {
 	k, err := kernels.ByName(name)
 	if err != nil {
 		return nil, err
@@ -42,7 +45,7 @@ func Attribution(r *Runner, name string, coreCounts []int) ([]AttributionRow, er
 	err = r.each(len(coreCounts), func(i int) error {
 		cores := coreCounts[i]
 		rec := obs.NewRecorder()
-		sp, _, _, err := r.Speedup(k, Variant{Cores: cores}, func(cfg *sim.Config) {
+		sp, _, _, err := r.speedup(ctx, k, Variant{Cores: cores}, func(cfg *sim.Config) {
 			cfg.Sink = rec
 		})
 		if err != nil {

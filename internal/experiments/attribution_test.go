@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -16,7 +17,7 @@ const goldenAttributionPath = "testdata/golden_attribution.txt"
 //
 //	go test ./internal/experiments -run TestGoldenAttribution -update
 func TestGoldenAttribution(t *testing.T) {
-	rows, err := Attribution(NewRunner(), "sphot-1", []int{1, 3})
+	rows, err := Attribution(context.Background(), NewRunner(), "sphot-1", []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

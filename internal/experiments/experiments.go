@@ -380,11 +380,15 @@ func resultAddress(addr string, cfg sim.Config) (string, error) {
 // and returns sequential-cycles / parallel-cycles plus the raw result,
 // which Simulate may share with other callers.
 func (r *Runner) Speedup(k *kernels.Kernel, v Variant, mod func(*sim.Config)) (float64, *sim.Result, *core.Artifact, error) {
-	seq, err := r.SeqCycles(k)
+	return r.speedup(context.Background(), k, v, mod)
+}
+
+// speedup is Speedup under ctx.
+func (r *Runner) speedup(ctx context.Context, k *kernels.Kernel, v Variant, mod func(*sim.Config)) (float64, *sim.Result, *core.Artifact, error) {
+	seq, _, err := r.SeqCyclesContext(ctx, k, sim.DefaultConfig(1))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	ctx := context.Background()
 	a, addr, _, err := r.ArtifactContext(ctx, k, v.Options())
 	if err != nil {
 		return 0, nil, nil, err

@@ -155,22 +155,25 @@ var paperDefault = func() Point {
 	}
 }()
 
-// axisBounds keeps single axis values inside the envelope the service also
-// enforces on /v1/run, so one hostile grid value cannot request a machine
-// the simulator would take unbounded time or memory to model.
+// The grid envelope, which fgpd also enforces on /v1/run, so one hostile
+// value cannot request a machine the simulator would take unbounded time
+// or memory to model. MaxCores bounds a grid's Cores axis and the core
+// count fgpd accepts on every endpoint: the queue fabric is O(cores²), so
+// it is a real resource bound, not a style check. MaxLatency bounds every
+// latency and issue-cost axis. Queue capacity is bounded by
+// sim.MaxQueueLen.
 const (
-	maxQueueLen = 1 << 12
-	maxLatency  = 1 << 20
-	maxL1Lines  = 1 << 20
+	MaxCores   = 16
+	MaxLatency = 1 << 20
+	maxL1Lines = 1 << 20
 )
 
 // Normalize fills unswept axes with the paper defaults and validates every
 // axis value, returning a *GridError naming the offending axis otherwise.
-// maxCores bounds the Cores axis (0 = 16, the service default); the queue
-// fabric is O(cores²), so it is a real resource bound, not a style check.
+// maxCores bounds the Cores axis (0 = MaxCores).
 func (g Grid) Normalize(maxCores int) (Grid, error) {
 	if maxCores <= 0 {
-		maxCores = 16
+		maxCores = MaxCores
 	}
 	fillI := func(axis []int, def int) []int {
 		if len(axis) == 0 {
@@ -199,8 +202,8 @@ func (g Grid) Normalize(maxCores int) (Grid, error) {
 		}
 	}
 	for _, q := range g.QueueLen {
-		if q < 1 || q > maxQueueLen {
-			return Grid{}, &GridError{Axis: "queue_len", Reason: fmt.Sprintf("values must be in [1, %d], got %d", maxQueueLen, q)}
+		if q < 1 || q > sim.MaxQueueLen {
+			return Grid{}, &GridError{Axis: "queue_len", Reason: fmt.Sprintf("values must be in [1, %d], got %d", sim.MaxQueueLen, q)}
 		}
 	}
 	for axis, vals := range map[string][]int64{
@@ -211,8 +214,8 @@ func (g Grid) Normalize(maxCores int) (Grid, error) {
 		"l1_miss":          g.L1Miss,
 	} {
 		for _, v := range vals {
-			if v < 0 || v > maxLatency {
-				return Grid{}, &GridError{Axis: axis, Reason: fmt.Sprintf("values must be in [0, %d], got %d", maxLatency, v)}
+			if v < 0 || v > MaxLatency {
+				return Grid{}, &GridError{Axis: axis, Reason: fmt.Sprintf("values must be in [0, %d], got %d", MaxLatency, v)}
 			}
 		}
 	}

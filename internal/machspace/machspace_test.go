@@ -121,18 +121,19 @@ func TestSweepBudgetRefusesBigGrid(t *testing.T) {
 		QueueLen:        []int{1, 2, 4, 8, 20, 64},
 		TransferLatency: []int64{0, 1, 2, 5, 20, 50, 100},
 		EnqCost:         []int64{0, 1, 2, 4},
+		DeqCost:         []int64{0, 1, 2, 4},
 	}
 	k, err := kernels.ByName("sphot-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serr := Sweep(context.Background(), experiments.NewRunner(), k, g, Options{Budget: 100})
+	_, serr := Sweep(context.Background(), experiments.NewRunner(), k, g, Options{})
 	var be *BudgetError
 	if !errors.As(serr, &be) {
 		t.Fatalf("want *BudgetError, got %v", serr)
 	}
-	if be.Points != 6*7*4 || be.Budget != 100 {
-		t.Fatalf("budget error = %+v, want points=%d budget=100", be, 6*7*4)
+	if want := 6 * 7 * 4 * 4; be.Points != want || be.Budget != DefaultBudget {
+		t.Fatalf("budget error = %+v, want points=%d budget=%d", be, want, DefaultBudget)
 	}
 	if !errors.Is(serr, ErrBudget) {
 		t.Fatal("budget error does not wrap ErrBudget")

@@ -32,7 +32,8 @@ import (
 	"fgp/internal/sim"
 )
 
-// DefaultBudget bounds a sweep's point count when Options.Budget is 0.
+// DefaultBudget bounds a sweep's point count. A grid past it is refused up
+// front with a *BudgetError, never silently truncated.
 const DefaultBudget = 512
 
 // ErrBudget is wrapped by sweeps whose grid exceeds the point budget.
@@ -51,17 +52,10 @@ func (e *BudgetError) Unwrap() error { return ErrBudget }
 
 // Options parameterizes a sweep.
 type Options struct {
-	// Budget bounds the number of grid points (0 = DefaultBudget). A grid
-	// past the budget is refused up front with a *BudgetError — never
-	// silently truncated.
-	Budget int
 	// Workers bounds concurrent point simulations (0 = one per CPU, 1 =
 	// serial). It changes wall-clock time only: the surface is byte-
 	// identical for any worker count.
 	Workers int
-	// MaxCores bounds the grid's Cores axis (0 = 16, matching the service
-	// default); see Grid.Normalize.
-	MaxCores int
 	// Partitioner selects the partition selector for every compiled point
 	// ("" or "heuristic" for the paper's greedy merge, "search" for the
 	// simulator-guided refinement); SearchSeed and SearchBudget configure
@@ -124,16 +118,12 @@ func boundReject(msg string) string {
 // under ctx, which cancels the sweep within one cancellation stride. Same
 // grid and options ⇒ byte-identical surface, for any Workers.
 func Sweep(ctx context.Context, r *experiments.Runner, k *kernels.Kernel, g Grid, opt Options) (*Surface, error) {
-	ng, err := g.Normalize(opt.MaxCores)
+	ng, err := g.Normalize(0)
 	if err != nil {
 		return nil, err
 	}
-	budget := opt.Budget
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
-	if n := ng.Size(); n > budget {
-		return nil, &BudgetError{Points: n, Budget: budget}
+	if n := ng.Size(); n > DefaultBudget {
+		return nil, &BudgetError{Points: n, Budget: DefaultBudget}
 	}
 	pts := ng.Points()
 	surf := &Surface{Kernel: k.Name, Grid: ng, Points: make([]PointResult, len(pts))}

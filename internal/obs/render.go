@@ -10,6 +10,16 @@ import (
 // TraceFormats lists the formats RenderTrace accepts, for flag help text.
 const TraceFormats = "text, perfetto, report"
 
+// CheckTraceFormat rejects a format RenderTrace does not render, with the
+// error every entry point prints.
+func CheckTraceFormat(format string) error {
+	switch format {
+	case "text", "perfetto", "report":
+		return nil
+	}
+	return fmt.Errorf("unknown trace format %q (have %s)", format, TraceFormats)
+}
+
 // RenderTrace renders one recorded stream in a named format: "text" (the
 // legacy trace, one line per retired instruction in the form below, where
 // a queue stall shows up as a gap between one line's end and the next
@@ -19,6 +29,9 @@ const TraceFormats = "text, perfetto, report"
 //
 //	t=<start>..<end> core=<id> pc=<pc> <op>
 func RenderTrace(format string, meta Meta, events []Event) ([]byte, error) {
+	if err := CheckTraceFormat(format); err != nil {
+		return nil, fmt.Errorf("obs: %w", err)
+	}
 	var buf bytes.Buffer
 	switch format {
 	case "text":
@@ -36,8 +49,6 @@ func RenderTrace(format string, meta Meta, events []Event) ([]byte, error) {
 		}
 	case "report":
 		buf.WriteString(BuildReport(meta, events).Format())
-	default:
-		return nil, fmt.Errorf("obs: unknown trace format %q (want one of: %s)", format, TraceFormats)
 	}
 	return buf.Bytes(), nil
 }

@@ -31,7 +31,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -51,9 +50,12 @@ type BatchRequest struct {
 	// for the whole batch.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// Parallelism bounds how many items run concurrently; 0 means the
-	// server's configured batch parallelism. It is clamped, never refused.
+	// server's Workers. It is clamped to Workers, never refused.
 	Parallelism int `json:"parallelism,omitempty"`
 }
+
+// maxBatchItems bounds how many items one batch may carry.
+const maxBatchItems = 256
 
 // BatchItemResult is one NDJSON line of the /v1/batch response stream.
 type BatchItemResult struct {
@@ -81,15 +83,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	if len(req.Items) == 0 {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, "batch carries no items")
+	switch n := len(req.Items); {
+	case n == 0:
+		writeError(w, s.fail(http.StatusBadRequest, "batch carries no items"))
 		return
-	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch carries %d items, limit %d", len(req.Items), s.cfg.MaxBatchItems))
+	case n > maxBatchItems:
+		writeError(w, s.fail(http.StatusBadRequest, "batch carries %d items, limit %d", n, maxBatchItems))
 		return
 	}
 
@@ -121,8 +120,8 @@ func (s *Server) runBatch(ctx context.Context, w http.ResponseWriter, req *Batch
 	}
 
 	par := req.Parallelism
-	if par <= 0 || par > s.cfg.BatchParallelism {
-		par = s.cfg.BatchParallelism
+	if par <= 0 || par > s.cfg.Workers {
+		par = s.cfg.Workers
 	}
 	if par > len(req.Items) {
 		par = len(req.Items)
@@ -158,9 +157,9 @@ func (s *Server) runBatch(ctx context.Context, w http.ResponseWriter, req *Batch
 			}
 
 			var resp *RunResponse
-			ae := s.checkEngine(req.Items[i].Engine)
+			opt, ae := s.checkLevers(&req.Items[i])
 			if ae == nil {
-				resp, ae = s.execute(ictx, &req.Items[i])
+				resp, ae = s.execute(ictx, &req.Items[i], opt)
 			}
 			if ae == nil {
 				ok.Add(1)

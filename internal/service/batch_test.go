@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -209,7 +210,7 @@ func TestBatchDedupIdenticalItems(t *testing.T) {
 // TestBatchValidation: empty batches, oversized batches, unknown fields and
 // trailing data are refused with 400 before admission.
 func TestBatchValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchItems: 2})
+	_, ts := newTestServer(t, Config{})
 	post := func(body string) (int, string) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
@@ -226,8 +227,10 @@ func TestBatchValidation(t *testing.T) {
 	if code, _ := post(`{"items":[]}`); code != http.StatusBadRequest {
 		t.Errorf("empty batch: %d, want 400", code)
 	}
-	if code, _ := post(`{"items":[{"kernel":"sphot-1"},{"kernel":"sphot-1"},{"kernel":"sphot-1"}]}`); code != http.StatusBadRequest {
-		t.Errorf("over-limit batch: %d, want 400", code)
+	over := `{"items":[` + strings.Repeat(`{"kernel":"sphot-1"},`, maxBatchItems) + `{"kernel":"sphot-1"}]}`
+	if code, data := post(over); code != http.StatusBadRequest ||
+		!strings.Contains(data, fmt.Sprintf("batch carries %d items, limit %d", maxBatchItems+1, maxBatchItems)) {
+		t.Errorf("over-limit batch: %d %s, want 400 naming the limit", code, data)
 	}
 	if code, _ := post(`{"items":[{"kernel":"sphot-1"}],"bogus":1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: %d, want 400", code)

@@ -117,7 +117,7 @@ func TestAbandonedFillsHoldWorkerSlots(t *testing.T) {
 	const workers = 2
 	s, ts := newTestServer(t, Config{Workers: workers, Timeout: 3 * time.Second})
 	for i := range 4 * workers {
-		wire, err := ir.MarshalLoop(uniqueLoop(int64(9000+i), 5_000_000))
+		wire, err := ir.MarshalLoop(uniqueLoop(int64(9000+i), 50_000_000))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,7 +188,7 @@ func TestFailRunMapping(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			s.failRun(rec, "stage", c.err)
+			writeError(rec, s.runError("stage", c.err))
 			if rec.Code != c.status {
 				t.Fatalf("status %d, want %d", rec.Code, c.status)
 			}

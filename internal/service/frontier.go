@@ -18,7 +18,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -116,15 +118,13 @@ func (s *Server) handleFrontierGet(w http.ResponseWriter, r *http.Request) {
 		Partitioner: q.Get("partitioner"),
 	}
 	if req.Kernel == "" {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, "missing kernel parameter")
+		writeError(w, s.fail(http.StatusBadRequest, "missing kernel parameter"))
 		return
 	}
 	if ts := q.Get("target_speedup"); ts != "" {
 		v, err := strconv.ParseFloat(ts, 64)
 		if err != nil {
-			s.met.errors.Add(1)
-			httpError(w, http.StatusBadRequest, "target_speedup must be a number")
+			writeError(w, s.fail(http.StatusBadRequest, "target_speedup must be a number"))
 			return
 		}
 		req.TargetSpeedup = v
@@ -145,36 +145,30 @@ func (s *Server) handleFrontierPost(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *FrontierRequest) {
 	k, ae := s.resolveKernel(req.Kernel, req.IR, req.Source)
 	if ae != nil {
-		writeJSON(w, ae.status, ae.body)
+		writeError(w, ae)
 		return
 	}
 
 	// Everything below rejects before admission: a malformed grid must
-	// cost a 400, not a worker slot.
+	// cost a 400, not a worker slot. The target is a number a JSON body
+	// can carry, so the GET spelling's NaN and Inf are refused too.
 	grid := machspace.DefaultGrid()
 	if req.Grid != nil {
 		grid = *req.Grid
 	}
-	grid, err := grid.Normalize(s.cfg.MaxCores)
+	grid, err := grid.Normalize(0)
+	if err == nil {
+		switch n := grid.Size(); {
+		case n > machspace.DefaultBudget:
+			err = &machspace.BudgetError{Points: n, Budget: machspace.DefaultBudget}
+		case !(req.TargetSpeedup >= 0) || math.IsInf(req.TargetSpeedup, 1):
+			err = errors.New("target_speedup must be a finite number >= 0")
+		default:
+			err = core.CheckPartitioner(req.Partitioner)
+		}
+	}
 	if err != nil {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if n := grid.Size(); n > machspace.DefaultBudget {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest,
-			(&machspace.BudgetError{Points: n, Budget: machspace.DefaultBudget}).Error())
-		return
-	}
-	if req.TargetSpeedup < 0 {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, "target_speedup must be >= 0")
-		return
-	}
-	if err := checkPartitioner(req.Partitioner); err != nil {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, err.Error())
+		writeError(w, s.fail(http.StatusBadRequest, "%v", err))
 		return
 	}
 	partitioner := req.Partitioner
@@ -196,14 +190,13 @@ func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *Fron
 			swept = true
 			return machspace.Sweep(fctx, s.run, k, grid, machspace.Options{
 				Workers:      1, // the request holds one worker slot
-				MaxCores:     s.cfg.MaxCores,
 				Partitioner:  partitioner,
 				SearchSeed:   serverSearchSeed,
 				SearchBudget: serverSearchBudget,
 			})
 		})
 		if err != nil {
-			s.failRun(w, "sweep", err)
+			writeError(w, s.runError("sweep", err))
 			return
 		}
 		cached := hit || !swept // memory hit, or the disk tier served the fill

@@ -150,6 +150,9 @@ func TestFrontierValidation(t *testing.T) {
 	for path, want := range map[string]int{
 		"/v1/frontier": 400, // no kernel
 		"/v1/frontier?kernel=sphot-1&target_speedup=abc": 400,
+		// A JSON body cannot carry these, so neither may the GET spelling.
+		"/v1/frontier?kernel=sphot-1&target_speedup=NaN": 400,
+		"/v1/frontier?kernel=sphot-1&target_speedup=inf": 400,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -5,12 +5,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -21,6 +21,7 @@ import (
 	"fgp/internal/frontend"
 	"fgp/internal/ir"
 	"fgp/internal/kernels"
+	"fgp/internal/machspace"
 	"fgp/internal/obs"
 	"fgp/internal/sim"
 	"fgp/internal/verify"
@@ -110,14 +111,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	if ae := s.checkEngine(req.Engine); ae != nil {
-		writeJSON(w, ae.status, ae.body)
+	opt, ae := s.checkLevers(&req)
+	if ae != nil {
+		writeError(w, ae)
 		return
 	}
 	s.admit(w, r, time.Duration(req.TimeoutMs)*time.Millisecond, func(ctx context.Context) {
-		resp, ae := s.execute(ctx, &req)
+		resp, ae := s.execute(ctx, &req, opt)
 		if ae != nil {
-			writeJSON(w, ae.status, ae.body)
+			writeError(w, ae)
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -131,40 +133,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // 400s with positioned diagnostics, never an OOM or a stack overflow.
 var sourceLimits = frontend.Limits{MaxDepth: 64, MaxNodes: 200_000, MaxDiags: 20}
 
-// apiError is a request failure with its HTTP rendering decided: execute
-// returns it instead of writing, so /v1/run can send it as the response
-// status while /v1/batch folds it into one NDJSON item line.
-type apiError struct {
-	status int
-	body   errorBody
-}
-
-func apiErrorf(status int, format string, args ...any) *apiError {
-	return &apiError{status: status, body: errorBody{Error: fmt.Sprintf(format, args...)}}
-}
-
-// checkEngine rejects an unknown simulation engine name as a 400 that
-// lists the accepted ones, so a typo never costs an admission slot or a
-// compile. "" selects the default engine.
-func (s *Server) checkEngine(name string) *apiError {
-	if name == "" || slices.Contains(sim.Engines(), name) {
-		return nil
-	}
-	s.met.errors.Add(1)
-	return apiErrorf(http.StatusBadRequest, "unknown engine %q (have %v)", name, sim.Engines())
-}
-
 // resolveKernel resolves a request's loop selector — exactly one of a
 // built-in kernel name, wire-encoded IR, or fgp source — shared by
 // /v1/run, /v1/batch and /v1/frontier. A built-in name resolves to the
 // registry kernel, whose digest is computed once per process; IR and
-// source wrap the decoded loop. Failures count toward the error metric and
-// carry their HTTP rendering.
+// source wrap the decoded loop.
 func (s *Server) resolveKernel(kernel string, irRaw json.RawMessage, source string) (*kernels.Kernel, *apiError) {
-	fail := func(status int, msg string) (*kernels.Kernel, *apiError) {
-		s.met.errors.Add(1)
-		return nil, apiErrorf(status, "%s", msg)
-	}
 	selected := 0
 	for _, set := range []bool{kernel != "", len(irRaw) > 0, source != ""} {
 		if set {
@@ -172,33 +146,30 @@ func (s *Server) resolveKernel(kernel string, irRaw json.RawMessage, source stri
 		}
 	}
 	if selected != 1 {
-		return fail(http.StatusBadRequest, "request must select exactly one of kernel, ir or source")
+		return nil, s.fail(http.StatusBadRequest, "request must select exactly one of kernel, ir or source")
 	}
 	switch {
 	case kernel != "":
 		k, err := kernels.ByName(kernel)
 		if err != nil {
-			return fail(http.StatusNotFound, err.Error())
+			return nil, s.fail(http.StatusNotFound, "%v", err)
 		}
 		return k, nil
 	case len(irRaw) > 0:
 		loop, err := ir.UnmarshalLoop(irRaw)
 		if err != nil {
-			return fail(http.StatusBadRequest, "ir: "+err.Error())
+			return nil, s.fail(http.StatusBadRequest, "ir: %v", err)
 		}
 		return wrapLoop(loop), nil
 	default:
 		loop, err := frontend.ParseWithLimits([]byte(source), sourceLimits)
 		if err != nil {
-			s.met.errors.Add(1)
+			ae := s.fail(http.StatusBadRequest, "source: %v", err)
 			var fe *frontend.Error
 			if errors.As(err, &fe) {
-				return nil, &apiError{status: http.StatusBadRequest, body: errorBody{
-					Error:             boundMsg("source: " + err.Error()),
-					SourceDiagnostics: fe.Diags,
-				}}
+				ae.body.SourceDiagnostics = fe.Diags
 			}
-			return nil, apiErrorf(http.StatusBadRequest, "%s", boundMsg("source: "+err.Error()))
+			return nil, ae
 		}
 		return wrapLoop(loop), nil
 	}
@@ -209,15 +180,6 @@ func wrapLoop(l *ir.Loop) *kernels.Kernel {
 	return kernels.Wrap(l.Name, func() *ir.Loop { return l })
 }
 
-// checkPartitioner validates a partitioner lever: "" and "heuristic" are
-// the paper's greedy merge, "search" the refinement.
-func checkPartitioner(p string) error {
-	if p != "" && p != core.PartitionerHeuristic && p != core.PartitionerSearch {
-		return fmt.Errorf("partitioner must be one of %v", core.Partitioners())
-	}
-	return nil
-}
-
 // Server-side partition-search parameters. Fixed so a searched artifact is
 // a pure function of its content address: every replica (and the on-disk
 // store) computes byte-identical partitions for the same request.
@@ -226,67 +188,48 @@ const (
 	serverSearchBudget = 48
 )
 
-// execute runs one admitted request: resolve the kernel, resolve the
-// sequential baseline and the artifact through the server's runner (memory
-// tier, then disk store, then a real compile), simulate under the request
-// context, and build the response. It never writes to the connection.
-func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunResponse, ae *apiError) {
-	// Recover boundary: compiler and simulator internals assume validated
-	// input and panic otherwise. A malformed request must cost the client a
-	// 400, never the worker goroutine (cache fills have their own boundary
-	// in internal/artcache; this one covers everything else in the handler).
-	defer func() {
-		if r := recover(); r != nil {
-			s.met.errors.Add(1)
-			resp, ae = nil, apiErrorf(http.StatusBadRequest,
-				"%s", boundMsg(fmt.Sprintf("internal panic (malformed input reached the pipeline): %v", r)))
+// checkLevers checks every lever of a run request — the engine, the
+// machine, the compile options and the trace format — before the request
+// takes an admission slot, so a typo costs neither a slot nor a compile.
+// It returns the compile options the levers select; their Machine carries
+// the effective queue length and transfer latency.
+func (s *Server) checkLevers(req *RunRequest) (core.Options, *apiError) {
+	bad := func(format string, args ...any) (core.Options, *apiError) {
+		return core.Options{}, s.fail(http.StatusBadRequest, format, args...)
+	}
+	if err := sim.CheckEngine(req.Engine); err != nil {
+		return bad("%v", err)
+	}
+	cores := cmp.Or(req.Cores, 4)
+	q, tl := req.QueueLen, req.TransferLatency
+	switch {
+	case cores < 1 || cores > machspace.MaxCores:
+		return bad("cores must be in [1, %d]", machspace.MaxCores)
+	case q != nil && (*q < 0 || *q > sim.MaxQueueLen):
+		return bad("queue_len must be in [1, %d] (0 = default)", sim.MaxQueueLen)
+	case tl != nil && (*tl < 0 || *tl > machspace.MaxLatency):
+		return bad("transfer_latency must be in [0, %d]", machspace.MaxLatency)
+	case req.NormalizeOps < 0 || req.NormalizeOps > 64:
+		return bad("normalize_ops must be in [0, 64]")
+	}
+	if err := core.CheckPartitioner(req.Partitioner); err != nil {
+		return bad("%v", err)
+	}
+	if req.Trace != "" {
+		if err := obs.CheckTraceFormat(req.Trace); err != nil {
+			return bad("%v", err)
 		}
-	}()
-	fail := func(status int, msg string) (*RunResponse, *apiError) {
-		s.met.errors.Add(1)
-		return nil, apiErrorf(status, "%s", msg)
 	}
 
-	k, ae := s.resolveKernel(req.Kernel, req.IR, req.Source)
-	if ae != nil {
-		return nil, ae
-	}
-
-	// Bound the machine parameters.
-	cores := req.Cores
-	if cores == 0 {
-		cores = 4
-	}
-	if cores < 1 || cores > s.cfg.MaxCores {
-		return fail(http.StatusBadRequest, fmt.Sprintf("cores must be in [1, %d]", s.cfg.MaxCores))
-	}
-	// Resolve the machine levers to their effective values: unset, the
-	// legacy `queue_len: 0` spelling, and an explicit paper default are
-	// one machine, while `transfer_latency: 0` is its own.
+	// Unset, the legacy `queue_len: 0` spelling, and an explicit paper
+	// default are one machine, while `transfer_latency: 0` is its own.
 	mc := sim.DefaultConfig(cores)
-	if req.QueueLen != nil {
-		q := *req.QueueLen
-		if q < 0 || q > 1<<12 {
-			return fail(http.StatusBadRequest, "queue_len must be in [1, 4096] (0 = default)")
-		}
-		if q != 0 {
-			mc.QueueLen = q
-		}
+	if q != nil && *q != 0 {
+		mc.QueueLen = *q
 	}
-	if req.TransferLatency != nil {
-		tl := *req.TransferLatency
-		if tl < 0 || tl > 1<<20 {
-			return fail(http.StatusBadRequest, "transfer_latency must be in [0, 1048576]")
-		}
-		mc.TransferLatency = tl
+	if tl != nil {
+		mc.TransferLatency = *tl
 	}
-	if req.NormalizeOps < 0 || req.NormalizeOps > 64 {
-		return fail(http.StatusBadRequest, "normalize_ops must be in [0, 64]")
-	}
-	if err := checkPartitioner(req.Partitioner); err != nil {
-		return fail(http.StatusBadRequest, err.Error())
-	}
-
 	opt := core.DefaultOptions(cores)
 	opt.Speculate = req.Speculate
 	opt.NormalizeOps = req.NormalizeOps
@@ -299,6 +242,29 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		opt.Partitioner = core.PartitionerSearch
 		opt.SearchSeed = serverSearchSeed
 		opt.SearchBudget = serverSearchBudget
+	}
+	return opt, nil
+}
+
+// execute runs one admitted request whose levers checkLevers turned into
+// opt: resolve the kernel, resolve the sequential baseline and the
+// artifact through the server's runner (memory tier, then disk store, then
+// a real compile), simulate under the request context, and build the
+// response. It never writes to the connection.
+func (s *Server) execute(ctx context.Context, req *RunRequest, opt core.Options) (resp *RunResponse, ae *apiError) {
+	// Recover boundary: compiler and simulator internals assume validated
+	// input and panic otherwise. A malformed request must cost the client a
+	// 400, never the worker goroutine (cache fills have their own boundary
+	// in internal/artcache; this one covers everything else in the handler).
+	defer func() {
+		if r := recover(); r != nil {
+			resp, ae = nil, s.fail(http.StatusBadRequest, "internal panic (malformed input reached the pipeline): %v", r)
+		}
+	}()
+
+	k, ae := s.resolveKernel(req.Kernel, req.IR, req.Source)
+	if ae != nil {
+		return nil, ae
 	}
 
 	compileStart := time.Now()
@@ -315,7 +281,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	// Simulate under the request context: a client disconnect or deadline
 	// aborts within one cancellation stride (sim.RunContext).
 	cfg := art.MachineConfig()
-	cfg.TransferLatency = mc.TransferLatency
+	cfg.TransferLatency = opt.Machine.TransferLatency
 	cfg.Engine = req.Engine
 	var rec *obs.Recorder
 	if req.Attribution || req.Trace != "" {
@@ -333,7 +299,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 
 	resp = &RunResponse{
 		Kernel:            k.Name,
-		Cores:             cores,
+		Cores:             opt.Cores,
 		Cycles:            res.Cycles,
 		SeqCycles:         seqCycles,
 		Speedup:           float64(seqCycles) / float64(res.Cycles),
@@ -358,7 +324,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		if req.Trace != "" {
 			data, err := obs.RenderTrace(req.Trace, rec.Meta, rec.Events)
 			if err != nil {
-				return fail(http.StatusBadRequest, err.Error())
+				return nil, s.fail(http.StatusBadRequest, "%v", err)
 			}
 			if req.Trace == "perfetto" {
 				resp.Trace = data // already JSON
@@ -368,18 +334,6 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		}
 	}
 	return resp, nil
-}
-
-// maxErrorBytes bounds the detail text of any error response. Simulator
-// deadlock errors carry a full multi-line machine-state dump; the response
-// keeps enough to diagnose and says how much it dropped.
-const maxErrorBytes = 2048
-
-func boundMsg(msg string) string {
-	if len(msg) <= maxErrorBytes {
-		return msg
-	}
-	return fmt.Sprintf("%s... (%d bytes truncated)", msg[:maxErrorBytes], len(msg)-maxErrorBytes)
 }
 
 // runError maps a compile/simulate error to its HTTP rendering:
@@ -396,33 +350,21 @@ func (s *Server) runError(stage string, err error) *apiError {
 	switch {
 	case errors.Is(err, context.Canceled):
 		s.met.canceled.Add(1)
-		return apiErrorf(statusClientClosedRequest, "%s: canceled", stage)
+		return &apiError{status: statusClientClosedRequest, body: errorBody{Error: stage + ": canceled"}}
 	case errors.Is(err, context.DeadlineExceeded):
 		s.met.canceled.Add(1)
-		return apiErrorf(http.StatusGatewayTimeout, "%s: deadline exceeded", stage)
+		return &apiError{status: http.StatusGatewayTimeout, body: errorBody{Error: stage + ": deadline exceeded"}}
 	case errors.As(err, &ve):
-		s.met.errors.Add(1)
-		return &apiError{status: http.StatusUnprocessableEntity, body: errorBody{
-			Error:       boundMsg(stage + ": " + err.Error()),
-			Diagnostics: ve.Diags,
-		}}
+		ae := s.fail(http.StatusUnprocessableEntity, "%s: %v", stage, err)
+		ae.body.Diagnostics = ve.Diags
+		return ae
 	case errors.As(err, &pe):
-		s.met.errors.Add(1)
-		return apiErrorf(http.StatusBadRequest, "%s", boundMsg(stage+": "+pe.Error()))
+		return s.fail(http.StatusBadRequest, "%s: %v", stage, pe)
 	case errors.Is(err, sim.ErrDeadlock), core.IsTrap(err):
-		s.met.errors.Add(1)
-		return apiErrorf(http.StatusUnprocessableEntity, "%s", boundMsg(stage+": "+err.Error()))
+		return s.fail(http.StatusUnprocessableEntity, "%s: %v", stage, err)
 	default:
-		s.met.errors.Add(1)
-		return apiErrorf(http.StatusInternalServerError, "%s", boundMsg(stage+": "+err.Error()))
+		return s.fail(http.StatusInternalServerError, "%s: %v", stage, err)
 	}
-}
-
-// failRun renders runError's mapping straight to the connection (the
-// single-request handlers' path).
-func (s *Server) failRun(w http.ResponseWriter, stage string, err error) {
-	ae := s.runError(stage, err)
-	writeJSON(w, ae.status, ae.body)
 }
 
 // KernelInfo is one row of /v1/kernels.
@@ -445,37 +387,40 @@ func (s *Server) handleKernels(w http.ResponseWriter, _ *http.Request) {
 // handleAttribution serves GET /v1/attribution?kernel=NAME&cores=1,3 as
 // text/plain — the exact bytes of experiments.FormatAttribution, i.e. what
 // `fgprun -trace-format report` prints and the golden file pins.
+//
+// Like the POST endpoints it checks everything before admission: a cores
+// list of at most machspace.MaxCores entries, each in [1,
+// machspace.MaxCores], and the kernel name. The rows resolve and simulate
+// under the request's deadline.
 func (s *Server) handleAttribution(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("kernel")
 	if name == "" {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, "missing kernel parameter")
+		writeError(w, s.fail(http.StatusBadRequest, "missing kernel parameter"))
 		return
 	}
 	coresParam := r.URL.Query().Get("cores")
 	if coresParam == "" {
 		coresParam = "4"
 	}
+	fields := strings.Split(coresParam, ",")
 	var coreCounts []int
-	for _, f := range strings.Split(coresParam, ",") {
+	for _, f := range fields {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 || n > s.cfg.MaxCores {
-			s.met.errors.Add(1)
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("cores must be a comma list of ints in [1, %d]", s.cfg.MaxCores))
+		if err != nil || n < 1 || n > machspace.MaxCores || len(fields) > machspace.MaxCores {
+			writeError(w, s.fail(http.StatusBadRequest, "cores must be a comma list of at most %d ints in [1, %d]",
+				machspace.MaxCores, machspace.MaxCores))
 			return
 		}
 		coreCounts = append(coreCounts, n)
 	}
+	if _, err := kernels.ByName(name); err != nil {
+		writeError(w, s.fail(http.StatusNotFound, "%v", err))
+		return
+	}
 	s.admit(w, r, 0, func(ctx context.Context) {
-		rows, err := experiments.Attribution(s.run, name, coreCounts)
+		rows, err := experiments.Attribution(ctx, s.run, name, coreCounts)
 		if err != nil {
-			if _, nf := kernels.ByName(name); nf != nil {
-				s.met.errors.Add(1)
-				httpError(w, http.StatusNotFound, err.Error())
-				return
-			}
-			s.failRun(w, "attribution", err)
+			writeError(w, s.runError("attribution", err))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

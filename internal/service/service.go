@@ -77,16 +77,6 @@ type Config struct {
 	// MaxBodyBytes bounds the request body (IR kernels carry their array
 	// data inline). 0 means 32 MiB.
 	MaxBodyBytes int64
-	// MaxCores bounds the simulated core count a request may ask for (the
-	// queue fabric is O(cores²)). 0 means 16.
-	MaxCores int
-	// MaxBatchItems bounds how many items one /v1/batch request may carry.
-	// 0 means 256.
-	MaxBatchItems int
-	// BatchParallelism bounds how many items of one batch execute
-	// concurrently (the batch as a whole holds a single admission ticket).
-	// 0 means Workers.
-	BatchParallelism int
 	// StoreDir, when non-empty, enables the on-disk artifact store: compile
 	// fills are written through and later misses in the in-memory cache are
 	// served from disk instead of recompiling.
@@ -108,15 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
-	}
-	if c.MaxCores <= 0 {
-		c.MaxCores = 16
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
-	}
-	if c.BatchParallelism <= 0 {
-		c.BatchParallelism = c.Workers
 	}
 	return c
 }
@@ -241,14 +222,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, reqTimeout time.D
 	case <-ctx.Done():
 		s.queued.Add(-1)
 		s.wg.Done()
-		s.met.canceled.Add(1)
 		s.met.lat.observe(time.Since(start))
-		if ctx.Err() == context.DeadlineExceeded {
-			httpError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for a worker")
-		} else {
-			// The client is gone; nobody reads this status.
-			httpError(w, statusClientClosedRequest, "client closed request while queued")
-		}
+		writeError(w, s.runError("queued for a worker", ctx.Err()))
 		return
 	}
 	s.inflight.Add(1)
@@ -358,12 +333,12 @@ func (s *Server) Snapshot() Metrics {
 		sm := s.disk.Snapshot()
 		m.Store = &sm
 	}
-	p50, p99, p999, count, window := s.met.lat.quantiles()
+	p50, p99, p999, count := s.met.lat.quantiles()
 	m.Latency.P50Ms = float64(p50) / float64(time.Millisecond)
 	m.Latency.P99Ms = float64(p99) / float64(time.Millisecond)
 	m.Latency.P999Ms = float64(p999) / float64(time.Millisecond)
 	m.Latency.Count = count
-	m.Latency.Window = window
+	m.Latency.Window = latencyWindow
 	return m
 }
 
@@ -395,10 +370,40 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }
 
+// apiError is a request failure with its HTTP rendering decided: execute
+// returns it instead of writing, so /v1/run can send it as the response
+// status while /v1/batch folds it into one NDJSON item line.
+type apiError struct {
+	status int
+	body   errorBody
+}
+
+// fail is the one path of a failed request: it counts the error and bounds
+// its text. Only cancellation (499, 504) is counted elsewhere, as canceled.
+func (s *Server) fail(status int, format string, args ...any) *apiError {
+	s.met.errors.Add(1)
+	return &apiError{status: status, body: errorBody{Error: boundMsg(fmt.Sprintf(format, args...))}}
+}
+
+func writeError(w http.ResponseWriter, ae *apiError) {
+	writeJSON(w, ae.status, ae.body)
+}
+
+// maxErrorBytes bounds the detail text of any error response. Simulator
+// deadlock errors carry a full multi-line machine-state dump; the response
+// keeps enough to diagnose and says how much it dropped.
+const maxErrorBytes = 2048
+
+func boundMsg(msg string) string {
+	if len(msg) <= maxErrorBytes {
+		return msg
+	}
+	return fmt.Sprintf("%s... (%d bytes truncated)", msg[:maxErrorBytes], len(msg)-maxErrorBytes)
+}
+
 // decodeRequest reads one JSON request object from the body into v: at
 // most Config.MaxBodyBytes, no unknown fields, and nothing but whitespace
-// after the object. On failure it counts the error, answers 413 or 400,
-// and returns false.
+// after the object. On failure it answers 413 or 400 and returns false.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -410,15 +415,14 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bo
 			return true
 		}
 	}
-	s.met.errors.Add(1)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+		writeError(w, s.fail(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit))
 	case decoded:
-		httpError(w, http.StatusBadRequest, "trailing data after request object")
+		writeError(w, s.fail(http.StatusBadRequest, "trailing data after request object"))
 	default:
-		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		writeError(w, s.fail(http.StatusBadRequest, "decoding request: %v", err))
 	}
 	return false
 }

@@ -178,19 +178,51 @@ func TestRunReferenceEngineMatches(t *testing.T) {
 	}
 }
 
-// TestRunUnknownEngineRejectedBeforeAdmission: an engine typo is answered
-// before the request takes an admission slot or compiles anything.
+// TestRunUnknownEngineRejectedBeforeAdmission: an engine typo, and a bad
+// value of any other lever, is answered before the request takes an
+// admission slot or compiles anything. A batch item with a bad lever gets
+// its own 400 line and fills nothing.
 func TestRunUnknownEngineRejectedBeforeAdmission(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	code, _, msg := postRun(t, ts, RunRequest{Kernel: "irs-1", Engine: "burst"})
-	if code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (error %q)", code, msg)
+	for _, c := range []struct {
+		name, body, want string
+	}{
+		{"engine", `{"kernel":"irs-1","engine":"burst"}`, `unknown engine "burst" (have [threaded reference])`},
+		{"trace", `{"kernel":"umt2k-6","cores":4,"trace":"bogus"}`, `unknown trace format "bogus" (have text, perfetto, report)`},
+		{"partitioner", `{"kernel":"irs-1","partitioner":"annealed"}`, `unknown partitioner "annealed" (have [heuristic search])`},
+		{"cores", `{"kernel":"irs-1","cores":17}`, "cores must be in [1, 16]"},
+		{"queue_len", `{"kernel":"irs-1","queue_len":4097}`, "queue_len must be in [1, 4096] (0 = default)"},
+		{"transfer_latency", `{"kernel":"irs-1","transfer_latency":-1}`, "transfer_latency must be in [0, 1048576]"},
+		{"normalize_ops", `{"kernel":"irs-1","normalize_ops":65}`, "normalize_ops must be in [0, 64]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			code, eb := postRaw(t, ts, c.body)
+			if code != http.StatusBadRequest || eb.Error != c.want {
+				t.Fatalf("%d %q, want 400 %q", code, eb.Error, c.want)
+			}
+			m := s.Snapshot()
+			if m.Requests != 0 || m.Artifacts.Compiles != 0 || m.Errors != 1 {
+				t.Errorf("rejection reached admission: requests=%d compiles=%d errors=%d",
+					m.Requests, m.Artifacts.Compiles, m.Errors)
+			}
+		})
 	}
-	m := s.Snapshot()
-	if m.Requests != 0 || m.Artifacts.Compiles != 0 || m.Errors != 1 {
-		t.Errorf("rejection reached admission: requests=%d compiles=%d errors=%d",
-			m.Requests, m.Artifacts.Compiles, m.Errors)
-	}
+	t.Run("batch item trace", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		code, items, trailer := postBatch(t, ts, BatchRequest{Items: []RunRequest{
+			{Kernel: "umt2k-6", Cores: 4, Trace: "bogus"},
+		}})
+		if code != http.StatusOK || trailer == nil || len(items) != 1 {
+			t.Fatalf("batch: %d, %d lines, trailer %v", code, len(items), trailer)
+		}
+		if it := items[0]; it.Status != http.StatusBadRequest || !strings.Contains(it.Error, `unknown trace format "bogus"`) {
+			t.Errorf("item line %d %q, want 400 naming the trace format", it.Status, it.Error)
+		}
+		if m := s.Snapshot(); m.Artifacts.Compiles != 0 || m.Cache.Misses != 0 || m.Errors != 1 {
+			t.Errorf("a rejected item filled: compiles=%d misses=%d errors=%d",
+				m.Artifacts.Compiles, m.Cache.Misses, m.Errors)
+		}
+	})
 }
 
 func TestRunValidation(t *testing.T) {
@@ -286,6 +318,10 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	code, _, msg := postRun(t, ts, RunRequest{Kernel: "sphot-1", Cores: 2})
 	if code != http.StatusServiceUnavailable || !strings.Contains(msg, "draining") {
 		t.Errorf("run after drain: %d %q, want 503 draining", code, msg)
+	}
+	// Levers are checked before admission, so a bad one is a 400 even now.
+	if code, _, msg := postRun(t, ts, RunRequest{Kernel: "sphot-1", Cores: 99}); code != http.StatusBadRequest {
+		t.Errorf("bad lever after drain: %d %q, want 400", code, msg)
 	}
 	if !s.Snapshot().Draining {
 		t.Error("metrics do not report draining")
@@ -389,6 +425,38 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
+// TestAttributionHonorsDeadline: /v1/attribution resolves and simulates
+// its rows under the request's deadline. Eight recorded rows of a primed
+// kernel take longer than the server budget, so the answer is a 504 near
+// the budget, not a report well after it.
+func TestAttributionHonorsDeadline(t *testing.T) {
+	const budget = 300 * time.Millisecond
+	s, ts := newTestServer(t, Config{Timeout: budget})
+	if code, _, msg := postRun(t, ts, RunRequest{Kernel: "irs-1", Cores: 4}); code != http.StatusOK {
+		t.Fatalf("priming run: %d %q", code, msg)
+	}
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/v1/attribution?kernel=irs-1&cores=4,4,4,4,4,4,4,4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d after %v, want 504 (%s)", resp.StatusCode, elapsed, data)
+	}
+	// The slack covers the recorded row the deadline cut: under the race
+	// detector it takes several hundred milliseconds to stop and hand back
+	// its partial recording.
+	if elapsed > budget+time.Second {
+		t.Errorf("504 after %v; the budget is %v", elapsed, budget)
+	}
+	if m := s.Snapshot(); m.Canceled != 1 || m.Errors != 0 {
+		t.Errorf("canceled=%d errors=%d, want the deadline counted once as canceled", m.Canceled, m.Errors)
+	}
+}
+
 func TestAttributionValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for url, code := range map[string]int{
@@ -396,6 +464,8 @@ func TestAttributionValidation(t *testing.T) {
 		"/v1/attribution?kernel=sphot-1&cores=0":   400,
 		"/v1/attribution?kernel=sphot-1&cores=abc": 400,
 		"/v1/attribution?kernel=nope-9&cores=1":    404,
+		// One more core count than machspace.MaxCores.
+		"/v1/attribution?kernel=sphot-1&cores=" + strings.Repeat("1,", 16) + "1": 400,
 	} {
 		resp, err := http.Get(ts.URL + url)
 		if err != nil {

@@ -82,6 +82,16 @@ const (
 // Engines lists the selectable execution engines, default first.
 func Engines() []string { return []string{EngineThreaded, EngineReference} }
 
+// CheckEngine rejects a name Config.Engine does not accept ("" is the
+// threaded default), with the error every entry point prints.
+func CheckEngine(name string) error {
+	switch name {
+	case "", EngineThreaded, EngineReference:
+		return nil
+	}
+	return fmt.Errorf("unknown engine %q (have %v)", name, Engines())
+}
+
 // DefaultConfig returns the configuration used by the paper's main
 // experiments: queue length 20, transfer latency 5 cycles.
 func DefaultConfig(cores int) Config {

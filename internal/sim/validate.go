@@ -5,7 +5,9 @@
 // needs one authoritative gate: a point either simulates correctly
 // (bit-identical across both engines, like any other configuration) or
 // is rejected here with a structured diagnostic before any compile or
-// simulation work starts. It must never reach a deadlock or a panic.
+// simulation work starts. It must never reach a deadlock or a panic. The
+// gate also bounds what a machine may cost to build: the simulator
+// allocates Cores²×2 queues of QueueLen slots each.
 
 package sim
 
@@ -17,6 +19,15 @@ import (
 // ErrBadConfig is wrapped by every configuration-validation failure, so
 // callers can classify rejection-vs-infrastructure with errors.Is.
 var ErrBadConfig = errors.New("sim: invalid machine configuration")
+
+// The machine envelope Validate enforces. MaxCores is the largest machine
+// whose every queue id (Cores²×2 of them) fits the threaded translator's
+// 16-bit queue field; New allocates about 7 MB of queues for it. fgpd and
+// the machine-space sweep bound queue capacity by MaxQueueLen too.
+const (
+	MaxCores    = 181
+	MaxQueueLen = 1 << 12
+)
 
 // ConfigError is one structured validation diagnostic: the Config field at
 // fault and why its value is unusable. It wraps ErrBadConfig.
@@ -38,12 +49,13 @@ func (e *ConfigError) Unwrap() error { return ErrBadConfig }
 // single-slot queue, and a disabled L1 (Cache.Lines == 0, every access
 // hits) are all valid machines — the sensitivity sweeps request them
 // literally — and are covered by the cross-engine degenerate-point tests.
+// Its upper end is MaxCores cores and MaxQueueLen slots per queue.
 func (c *Config) Validate() error {
-	if c.Cores < 1 {
-		return &ConfigError{Field: "Cores", Reason: fmt.Sprintf("must be >= 1, got %d", c.Cores)}
+	if c.Cores < 1 || c.Cores > MaxCores {
+		return &ConfigError{Field: "Cores", Reason: fmt.Sprintf("must be in [1, %d], got %d", MaxCores, c.Cores)}
 	}
-	if c.QueueLen < 1 {
-		return &ConfigError{Field: "QueueLen", Reason: fmt.Sprintf("queue capacity must be >= 1, got %d", c.QueueLen)}
+	if c.QueueLen < 1 || c.QueueLen > MaxQueueLen {
+		return &ConfigError{Field: "QueueLen", Reason: fmt.Sprintf("queue capacity must be in [1, %d], got %d", MaxQueueLen, c.QueueLen)}
 	}
 	if c.TransferLatency < 0 {
 		return &ConfigError{Field: "TransferLatency", Reason: fmt.Sprintf("must be >= 0, got %d", c.TransferLatency)}
@@ -92,10 +104,8 @@ func (c *Config) Validate() error {
 				Reason: fmt.Sprintf("must be a power of two >= 8 bytes when Cache.Lines > 0, got %d", ls)}
 		}
 	}
-	switch c.Engine {
-	case "", EngineThreaded, EngineReference:
-	default:
-		return &ConfigError{Field: "Engine", Reason: fmt.Sprintf("unknown engine %q (have %v)", c.Engine, Engines())}
+	if err := CheckEngine(c.Engine); err != nil {
+		return &ConfigError{Field: "Engine", Reason: err.Error()}
 	}
 	return nil
 }

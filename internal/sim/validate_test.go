@@ -20,6 +20,7 @@ func TestValidateAcceptsDegenerateButRealMachines(t *testing.T) {
 		{"disabled L1", func(c *sim.Config) { c.Cache.Lines = 0 }},
 		{"one-line L1", func(c *sim.Config) { c.Cache.Lines = 1 }},
 		{"single core", func(c *sim.Config) { c.Cores = 1 }},
+		{"largest machine", func(c *sim.Config) { c.Cores = sim.MaxCores; c.QueueLen = sim.MaxQueueLen }},
 	}
 	for _, m := range mods {
 		c := sim.DefaultConfig(4)
@@ -36,8 +37,11 @@ func TestValidateRejectsUnusableMachines(t *testing.T) {
 		mod   func(*sim.Config)
 	}{
 		{"Cores", func(c *sim.Config) { c.Cores = 0 }},
+		// Past 181 cores a queue id no longer fits 16 bits.
+		{"Cores", func(c *sim.Config) { c.Cores = 182 }},
 		{"QueueLen", func(c *sim.Config) { c.QueueLen = 0 }},
 		{"QueueLen", func(c *sim.Config) { c.QueueLen = -3 }},
+		{"QueueLen", func(c *sim.Config) { c.QueueLen = 4097 }},
 		{"TransferLatency", func(c *sim.Config) { c.TransferLatency = -1 }},
 		{"GroupSize", func(c *sim.Config) { c.GroupSize = -1 }},
 		{"MemPortCycles", func(c *sim.Config) { c.MemPortCycles = -1 }},
